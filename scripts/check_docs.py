@@ -19,11 +19,16 @@ navigates with a stale map. This script makes drift a test failure:
      (CrimesConfig, CheckpointConfig, ControlConfig, SloConfig, ...) must
      appear as a backticked `Struct.field` token in docs/TUNING.md. Add a
      knob without documenting it and this gate fails naming the knob.
+  6. No unread knobs: every such field must be read somewhere in src/ --
+     its identifier must occur in the comment-stripped src/**/*.{h,cpp}
+     more often than the config structs declare it. A documented knob
+     that no code reads fails naming the knob.
 
 Exit status: 0 when the docs cover the tree, 1 otherwise.
 """
 
 import argparse
+import collections
 import pathlib
 import re
 import sys
@@ -33,7 +38,6 @@ import sys
 CONFIG_STRUCTS = [
     ("src/core/crimes.h", ["CrimesConfig"]),
     ("src/checkpoint/checkpointer.h", ["CheckpointConfig"]),
-    ("src/core/adaptive_interval.h", ["AdaptiveIntervalConfig"]),
     ("src/control/control_config.h", ["ControlConfig"]),
     ("src/replication/replication_config.h",
      ["HeartbeatConfig", "ReplicationConfig"]),
@@ -142,6 +146,18 @@ def struct_fields(body: str) -> list[str]:
     return fields
 
 
+def unread_knobs(repo: pathlib.Path, knobs: list[str]) -> list[str]:
+    """Knobs whose field name occurs in src/ only where it is declared."""
+    text = "\n".join(
+        strip_comments(path.read_text(encoding="utf-8"))
+        for pattern in ("*.h", "*.cpp")
+        for path in sorted((repo / "src").rglob(pattern)))
+    fields = [knob.split(".", 1)[1] for knob in knobs]
+    declared = collections.Counter(fields)
+    uses = {f: len(re.findall(rf"\b{f}\b", text)) for f in declared}
+    return [k for k, f in zip(knobs, fields) if uses[f] <= declared[f]]
+
+
 def config_knobs(repo: pathlib.Path) -> list[str]:
     knobs = []
     for rel, structs in CONFIG_STRUCTS:
@@ -197,6 +213,9 @@ def main() -> None:
     if unknown:
         fail("docs/TUNING.md knob reference is missing: "
              + ", ".join(unknown))
+    unread = unread_knobs(repo, knobs)
+    if unread:
+        fail("knobs that no code under src/ reads: " + ", ".join(unread))
 
     print(f"check_docs: OK ({len(module_dirs(repo))} modules in DESIGN.md, "
           f"{len(sources)} benches in EXPERIMENTS.md, "

@@ -180,6 +180,8 @@ struct PhaseCosts {
     return suspend + vmi + bitscan + map + copy + protect + resume + observe +
            control;
   }
+
+  bool operator==(const PhaseCosts&) const = default;
 };
 
 struct AuditResult {

@@ -60,7 +60,7 @@ class Tenant {
   [[nodiscard]] const std::string& name() const { return policy_.name; }
   [[nodiscard]] GuestKernel& kernel() { return *kernel_; }
   [[nodiscard]] Crimes& crimes() { return *crimes_; }
-  [[nodiscard]] const RunSummary& totals() const { return totals_; }
+  [[nodiscard]] const RunSummary& totals() const { return crimes_->totals(); }
   [[nodiscard]] bool frozen() const { return frozen_; }
   [[nodiscard]] TenantPriority priority() const { return policy_.priority; }
 
@@ -94,7 +94,6 @@ class Tenant {
   std::unique_ptr<GuestKernel> kernel_;
   std::unique_ptr<Crimes> crimes_;
   Workload* workload_ = nullptr;
-  RunSummary totals_;
   bool frozen_ = false;
   telemetry::Histogram host_pause_;  // host-observed (contended) pauses, ns
 };

@@ -47,6 +47,9 @@ Crimes::Crimes(Hypervisor& hypervisor, GuestKernel& kernel,
       costs_(&costs),
       network_(costs.net_wire_latency),
       disk_(config.disk_blocks) {
+  totals_.scheme = config_.mode == SafetyMode::Disabled
+                       ? "Disabled"
+                       : config_.checkpoint.label();
   // The control plane reads windowed percentiles from the time-series
   // engine, so enabling it implies the telemetry bundle.
   if (config_.control.enabled && config_.mode != SafetyMode::Disabled) {
@@ -159,14 +162,10 @@ void Crimes::initialize() {
   }
   detector_.set_audit_policy(config_.audit_policy);
   if (injector_) detector_.set_fault_injector(injector_.get());
-  if (config_.adaptive.enabled) {
-    adaptive_.emplace(config_.adaptive, config_.checkpoint.epoch_interval);
-  }
   if (telemetry_) {
     if (checkpointer_) checkpointer_->set_telemetry(telemetry_.get());
     detector_.set_telemetry(telemetry_.get());
     buffer_.set_telemetry(telemetry_.get());
-    if (adaptive_) adaptive_->set_telemetry(telemetry_.get());
     if (replicator_) replicator_->set_telemetry(telemetry_.get());
     telemetry_->enable_series(config_.timeseries);
   }
@@ -182,8 +181,7 @@ void Crimes::initialize() {
   }
   // Control plane: built last so it can see which actuators exist.
   // Policies for absent actuators (no replicator, no store, no scan
-  // modules) are disabled outright; the interval policy subsumes the
-  // adaptive controller (current_interval() prefers the plane).
+  // modules) are disabled outright.
   if (config_.control.enabled && config_.mode != SafetyMode::Disabled) {
     control::ControlConfig cc = config_.control;
     if (!replicator_) cc.manage_window = false;
@@ -196,11 +194,6 @@ void Crimes::initialize() {
         store != nullptr ? store->config().gc_generations_per_epoch : 0);
     control_->set_telemetry(telemetry_.get());
     full_sweep_every_ = control_->full_sweep_every();
-    if (adaptive_) {
-      CRIMES_LOG(Info, "control")
-          << "control plane enabled: its interval policy overrides the "
-             "adaptive controller";
-    }
   }
   initialized_ = true;
   CRIMES_LOG(Info, "crimes") << "initialized: mode="
@@ -243,26 +236,22 @@ AuditResult Crimes::run_audit(std::span<const Pfn> dirty, Nanos audit_start) {
   return AuditResult{.passed = passed, .cost = result.cost};
 }
 
-RunSummary Crimes::run(Nanos max_work_time) {
+const RunSummary& Crimes::run(Nanos max_work_time) {
   if (!initialized_) throw std::logic_error("Crimes: initialize() first");
   if (workload_ == nullptr) throw std::logic_error("Crimes: no workload set");
 
-  RunSummary summary;
-  summary.scheme = config_.mode == SafetyMode::Disabled
-                       ? "Disabled"
-                       : config_.checkpoint.label();
-
   telemetry::TraceRecorder* trace =
       telemetry_ ? &telemetry_->trace : nullptr;
-  // Always collected (independent of the telemetry knob): tail pause for
-  // RunSummary. Recording is two relaxed atomic adds per epoch.
-  telemetry::Histogram pause_hist;
+  const Nanos work_limit = totals_.work_time + max_work_time;
+  // The journal fsck keys on failure signatures seen in this call.
+  const std::size_t failures_before = totals_.checkpoint_failures;
+  const bool failed_over_before = totals_.failed_over;
+  const bool killed_before = totals_.primary_killed;
 
-  while (!workload_->finished() && summary.work_time < max_work_time) {
+  while (!workload_->finished() && totals_.work_time < work_limit) {
     // A frozen pipeline never runs another epoch: the checkpoint path is
     // lost and the VM was paused by the governor.
     if (governor_ && governor_->state() == fault::GovernorState::Frozen) {
-      summary.frozen_by_governor = true;
       break;
     }
     if (primary_killed_) break;  // the host died in an earlier slice
@@ -275,14 +264,14 @@ RunSummary Crimes::run(Nanos max_work_time) {
       const bool correlated = host_kill_pending_;
       host_kill_pending_ = false;
       primary_killed_ = true;
-      summary.primary_killed = true;
+      totals_.primary_killed = true;
       if (flight_) {
         flight_->record(clock_.now(), epoch_index_,
                         telemetry::FlightEventKind::Fault, "kills_primary",
                         correlated ? "correlated-failover" : "");
       }
       kernel_->vm().pause();  // the whole host powers off
-      if (!failed_over_) fail_over(summary, clock_.now());
+      if (!failed_over_) fail_over(clock_.now());
       break;
     }
     if (replicator_ && !failed_over_ && !promotion_refused_ &&
@@ -291,7 +280,7 @@ RunSummary Crimes::run(Nanos max_work_time) {
       // The standby has not heard a heartbeat for long enough to promote,
       // yet this primary is still running: the split-brain scenario.
       // Fencing -- not coordination -- keeps it safe.
-      split_brain_promote(summary);
+      split_brain_promote();
     }
     CRIMES_TRACE_SPAN(trace, "epoch");
     const Nanos interval = current_interval();
@@ -321,18 +310,15 @@ RunSummary Crimes::run(Nanos max_work_time) {
     }
     workload_->run_epoch(epoch_start, interval);
     clock_.advance(interval);
-    summary.work_time += interval;
-    ++summary.epochs;
+    totals_.work_time += interval;
+    ++totals_.epochs;
 
     if (config_.mode == SafetyMode::Disabled) continue;
 
     // Commit barrier for the previous epoch's speculative CoW drain: it
     // overlapped with the epoch that just executed, so by now it is
     // usually done and the barrier stalls only on the remainder.
-    if (cow_stash_.active && !finish_cow_commit(summary)) {
-      summary.frozen_by_governor = true;
-      break;
-    }
+    if (cow_stash_.active && !finish_cow_commit()) break;
 
     // Shed ladder rung 3 (host_pause_protection): the epoch executed, but
     // the checkpoint/audit pipeline is skipped entirely. Synchronous
@@ -340,7 +326,7 @@ RunSummary Crimes::run(Nanos max_work_time) {
     // just late -- and the dirty bitmap keeps accumulating, so the first
     // checkpoint after protection resumes covers the whole gap.
     if (host_protection_paused_) {
-      ++summary.host_paused_epochs;
+      ++totals_.host_paused_epochs;
       continue;
     }
 
@@ -350,40 +336,40 @@ RunSummary Crimes::run(Nanos max_work_time) {
           return run_audit(dirty, audit_start);
         });
 
-    summary.total_costs.suspend += epoch.costs.suspend;
-    summary.total_costs.vmi += epoch.costs.vmi;
-    summary.total_costs.bitscan += epoch.costs.bitscan;
-    summary.total_costs.map += epoch.costs.map;
-    summary.total_costs.copy += epoch.costs.copy;
-    summary.total_costs.protect += epoch.costs.protect;
-    summary.total_costs.resume += epoch.costs.resume;
-    summary.total_costs.dirty_pages += epoch.costs.dirty_pages;
-    summary.total_dirty_pages += epoch.costs.dirty_pages;
-    summary.copy_retries += epoch.copy_retries;
-    summary.recovery_time += epoch.recovery_cost;
-    summary.store_time += epoch.store_cost;
-    if (adaptive_) (void)adaptive_->observe(epoch.costs);
+    PhaseCosts& costs = totals_.total_costs;
+    costs.suspend += epoch.costs.suspend;
+    costs.vmi += epoch.costs.vmi;
+    costs.bitscan += epoch.costs.bitscan;
+    costs.map += epoch.costs.map;
+    costs.copy += epoch.costs.copy;
+    costs.protect += epoch.costs.protect;
+    costs.resume += epoch.costs.resume;
+    costs.dirty_pages += epoch.costs.dirty_pages;
+    totals_.total_dirty_pages += epoch.costs.dirty_pages;
+    totals_.copy_retries += epoch.copy_retries;
+    totals_.recovery_time += epoch.recovery_cost;
+    totals_.store_time += epoch.store_cost;
 
     // Epoch-boundary observability: flight-recorder events, time-series
     // sample, SLO evaluation. The (small) virtual cost lands inside the
     // pause accounting -- it is work done while the tenant waits -- which
     // is exactly what ablation_telemetry_overhead budgets at <1%.
-    const Nanos observe_cost = observe_epoch(epoch, interval, summary);
-    summary.total_costs.observe += observe_cost;
+    const Nanos observe_cost = observe_epoch(epoch, interval);
+    costs.observe += observe_cost;
     // Control plane: runs after the telemetry sample so its windowed
     // inputs include this epoch, and its cost joins the pause for the
     // same reason observe's does.
-    const Nanos control_cost = control_epoch(epoch, interval, summary);
-    summary.total_costs.control += control_cost;
+    const Nanos control_cost = control_epoch(epoch, interval);
+    costs.control += control_cost;
     if (last_audit_full_sweep_) {
-      ++summary.control_full_sweeps;
+      ++totals_.control_full_sweeps;
       last_audit_full_sweep_ = false;
     }
     const Nanos pause =
         epoch.costs.pause_total() + observe_cost + control_cost;
-    summary.total_pause += pause;
-    summary.max_pause = std::max(summary.max_pause, pause);
-    pause_hist.record(static_cast<std::uint64_t>(pause.count()));
+    totals_.total_pause += pause;
+    totals_.max_pause = std::max(totals_.max_pause, pause);
+    pause_hist_.record(static_cast<std::uint64_t>(pause.count()));
 
     if (epoch.cow_pending) {
       // Resume-first checkpoint: the copy is still draining and commits at
@@ -405,14 +391,14 @@ RunSummary Crimes::run(Nanos max_work_time) {
 
     if (epoch.audit_passed) {
       if (epoch.checkpoint_committed) {
-        ++summary.checkpoints;
+        ++totals_.checkpoints;
         // Commit the speculative epoch: outputs may now leave the host --
         // immediately when unreplicated; once the standby acknowledges
         // (and the fencing lease still holds) when replication is on.
         {
           CRIMES_TRACE_SPAN(trace, "commit");
           if (replicator_) {
-            replicate_commit(epoch, summary, buffer_.take_all());
+            replicate_commit(epoch, buffer_.take_all());
           } else {
             CRIMES_TRACE_SPAN(trace, "buffer_release");
             buffer_.release_all(network_, clock_.now());
@@ -426,46 +412,26 @@ RunSummary Crimes::run(Nanos max_work_time) {
         // retained (the next epoch's checkpoint carries these pages), and
         // -- in Synchronous mode -- the audited outputs stay held until a
         // checkpoint actually covers them. Best Effort already shipped.
-        ++summary.checkpoint_failures;
-        dump_postmortem("checkpoint-retries-exhausted", summary);
+        ++totals_.checkpoint_failures;
+        dump_postmortem("checkpoint-retries-exhausted");
       }
 
-      if (governor_ &&
-          apply_governor_action(governor_->on_epoch(epoch.checkpoint_committed),
-                                summary)) {
-        summary.frozen_by_governor = true;
+      if (governor_ && apply_governor_action(
+                           governor_->on_epoch(epoch.checkpoint_committed))) {
         break;
       }
       if (governor_ &&
           governor_->state() == fault::GovernorState::Degraded) {
-        ++summary.degraded_epochs;
+        ++totals_.degraded_epochs;
       }
       if (!epoch.checkpoint_committed) continue;
-
-      // Async deep-scan extension: completed scans may surface evidence
-      // the online modules missed; due scans are launched on the fresh
-      // backup.
-      if (async_scan_ && clock_.now() >= async_scan_->ready_at) {
-        if (!async_scan_->findings.empty()) {
-          last_findings_ = std::move(async_scan_->findings);
-          async_scan_.reset();
-          summary.attack_detected = true;
-          kernel_->vm().pause();
-          respond(epoch, epoch_start);
-          break;
-        }
-        async_scan_.reset();
-      }
-      if (config_.async_deep_scan_every != 0 && !async_scan_ &&
-          summary.epochs % config_.async_deep_scan_every == 0) {
-        launch_async_deep_scan();
-      }
+      if (async_deep_scan_step(epoch_start)) break;
     } else {
       // Zero-window guarantee: nothing from the poisoned epoch escapes.
       buffer_.drop_all();
       disk_.drop_pending();
-      summary.attack_detected = true;
-      respond(epoch, epoch_start);
+      totals_.attack_detected = true;
+      respond(epoch_start);
       break;
     }
   }
@@ -475,24 +441,22 @@ RunSummary Crimes::run(Nanos max_work_time) {
     // half-committed backup. The synthetic epoch span keeps the barrier's
     // commit/release spans under an epoch, like every other one.
     CRIMES_TRACE_SPAN(trace, "epoch");
-    if (!finish_cow_commit(summary)) summary.frozen_by_governor = true;
+    (void)finish_cow_commit();
   }
-  summary.pause_histogram = pause_hist.snapshot();
-  if (injector_) {
-    // Report the delta since the last run(): CloudHost sums per-slice
-    // summaries, so a cumulative total would be counted repeatedly.
-    summary.faults_injected = injector_->total_injected() - faults_reported_;
-    faults_reported_ = injector_->total_injected();
-  }
-  summary.quarantined_modules = detector_.quarantined_modules();
-  collect_attestation(summary);
-  verify_store_seals(summary);
-  verify_journal(summary);
-  return summary;
+  // Counters owned by a component are read from it, not re-counted here.
+  totals_.pause_histogram = pause_hist_.snapshot();
+  if (injector_) totals_.faults_injected = injector_->total_injected();
+  if (replicator_) totals_.roots_verified = replicator_->roots_verified();
+  totals_.quarantined_modules = detector_.quarantined_modules();
+  verify_store_seals();
+  verify_journal(totals_.checkpoint_failures != failures_before ||
+                 governor_state() == fault::GovernorState::Frozen ||
+                 totals_.failed_over != failed_over_before ||
+                 totals_.primary_killed != killed_before);
+  return totals_;
 }
 
-bool Crimes::apply_governor_action(fault::SafetyGovernor::Action action,
-                                   RunSummary& summary) {
+bool Crimes::apply_governor_action(fault::SafetyGovernor::Action action) {
   using Action = fault::SafetyGovernor::Action;
   switch (action) {
     case Action::None:
@@ -502,7 +466,7 @@ bool Crimes::apply_governor_action(fault::SafetyGovernor::Action action,
       // behind a checkpoint path that keeps failing. Everything currently
       // held passed its audit -- releasing it is exactly Best Effort
       // semantics (audited, not checkpoint-covered).
-      ++summary.governor_downgrades;
+      ++totals_.governor_downgrades;
       buffer_.release_all(network_, clock_.now());
       if (replicator_ != nullptr) {
         // Ack-gated outputs stop waiting too -- Best Effort semantics --
@@ -515,7 +479,7 @@ bool Crimes::apply_governor_action(fault::SafetyGovernor::Action action,
           }
           pending_release_.clear();
         } else {
-          discard_pending_outputs(summary);
+          discard_pending_outputs();
         }
       }
       disk_.commit_pending();
@@ -536,7 +500,7 @@ bool Crimes::apply_governor_action(fault::SafetyGovernor::Action action,
           << to_ms(clock_.now()) << " ms";
       return false;
     case Action::Upgrade:
-      ++summary.governor_upgrades;
+      ++totals_.governor_upgrades;
       // A host-shed tenant stays in Best Effort even when its own
       // checkpoint path heals: the host arbiter's restore lifts the shed.
       apply_output_mode(host_downgraded_ ? SafetyMode::BestEffort
@@ -560,6 +524,7 @@ bool Crimes::apply_governor_action(fault::SafetyGovernor::Action action,
       // recoverable backup voids every guarantee the tenant signed up
       // for, so the VM stops here. Whatever the buffer still holds was
       // never covered by a checkpoint and stays unreleased.
+      totals_.frozen_by_governor = true;
       kernel_->vm().pause();
       if (replicator_ != nullptr) {
         // Quiesce the replication stream: the primary will produce no
@@ -579,13 +544,13 @@ bool Crimes::apply_governor_action(fault::SafetyGovernor::Action action,
           << "checkpoint path lost (" << governor_->consecutive_failures()
           << " consecutive failures): VM frozen at " << to_ms(clock_.now())
           << " ms";
-      dump_postmortem("governor-freeze", summary);
+      dump_postmortem("governor-freeze");
       return true;
   }
   return false;
 }
 
-bool Crimes::finish_cow_commit(RunSummary& summary) {
+bool Crimes::finish_cow_commit() {
   telemetry::TraceRecorder* trace =
       telemetry_ ? &telemetry_->trace : nullptr;
   const CowCommit commit =
@@ -595,13 +560,13 @@ bool Crimes::finish_cow_commit(RunSummary& summary) {
   const Nanos epoch_start = cow_stash_.epoch_start;
   cow_stash_ = {};
 
-  summary.cow_first_touches += commit.first_touches;
-  summary.cow_drain_time += commit.drain_cost;
-  summary.cow_first_touch_time += commit.first_touch_cost;
-  summary.cow_commit_stall += commit.stall;
-  summary.copy_retries += commit.copy_retries;
-  summary.recovery_time += commit.recovery_cost;
-  summary.store_time += commit.store_cost;
+  totals_.cow_first_touches += commit.first_touches;
+  totals_.cow_drain_time += commit.drain_cost;
+  totals_.cow_first_touch_time += commit.first_touch_cost;
+  totals_.cow_commit_stall += commit.stall;
+  totals_.copy_retries += commit.copy_retries;
+  totals_.recovery_time += commit.recovery_cost;
+  totals_.store_time += commit.store_cost;
 
   // The buffer currently holds the *still unaudited* packets of the epoch
   // that overlapped the drain. Set them aside: commit releases (and a
@@ -609,10 +574,10 @@ bool Crimes::finish_cow_commit(RunSummary& summary) {
   std::vector<Packet> unaudited = buffer_.take_all();
 
   if (commit.committed) {
-    ++summary.checkpoints;
+    ++totals_.checkpoints;
     CRIMES_TRACE_SPAN(trace, "commit");
     if (replicator_) {
-      replicate_commit(epoch, summary, std::move(held));
+      replicate_commit(epoch, std::move(held));
     } else {
       CRIMES_TRACE_SPAN(trace, "buffer_release");
       for (auto& packet : held) {
@@ -625,48 +590,49 @@ bool Crimes::finish_cow_commit(RunSummary& summary) {
     // the dirty set re-marked. The epoch's outputs stay held -- into the
     // (momentarily empty) buffer first, so they precede the overlapping
     // epoch's packets when a later checkpoint finally covers them.
-    ++summary.checkpoint_failures;
+    ++totals_.checkpoint_failures;
     for (auto& packet : held) buffer_.hold(std::move(packet));
-    dump_postmortem("checkpoint-retries-exhausted", summary);
+    dump_postmortem("checkpoint-retries-exhausted");
   }
 
-  bool frozen = false;
-  if (governor_ &&
-      apply_governor_action(governor_->on_epoch(commit.committed), summary)) {
-    frozen = true;
-  }
+  const bool frozen =
+      governor_ && apply_governor_action(governor_->on_epoch(commit.committed));
   if (governor_ && governor_->state() == fault::GovernorState::Degraded) {
-    ++summary.degraded_epochs;
+    ++totals_.degraded_epochs;
   }
   for (auto& packet : unaudited) buffer_.hold(std::move(packet));
   if (frozen) return false;
-
-  // Async deep-scan extension rides committed epochs, like the stop-copy
-  // path.
-  if (commit.committed) {
-    if (async_scan_ && clock_.now() >= async_scan_->ready_at) {
-      if (!async_scan_->findings.empty()) {
-        last_findings_ = std::move(async_scan_->findings);
-        async_scan_.reset();
-        summary.attack_detected = true;
-        kernel_->vm().pause();
-        respond(epoch, epoch_start);
-        return false;
-      }
-      async_scan_.reset();
-    }
-    if (config_.async_deep_scan_every != 0 && !async_scan_ &&
-        summary.epochs % config_.async_deep_scan_every == 0) {
-      launch_async_deep_scan();
-    }
-  }
-  return true;
+  // The async deep scan rides committed epochs, like the stop-copy path.
+  return !(commit.committed && async_deep_scan_step(epoch_start));
 }
 
-void Crimes::replicate_commit(const EpochResult& epoch, RunSummary& summary,
+bool Crimes::async_deep_scan_step(Nanos epoch_start) {
+  // A completed scan may surface evidence the online modules missed.
+  if (async_scan_ && clock_.now() >= async_scan_->ready_at) {
+    std::vector<Finding> findings = std::move(async_scan_->findings);
+    async_scan_.reset();
+    if (!findings.empty()) {
+      last_findings_ = std::move(findings);
+      totals_.attack_detected = true;
+      kernel_->vm().pause();
+      respond(epoch_start);
+      return true;
+    }
+  }
+  // Due scans launch on the fresh backup. The cadence counts every epoch
+  // this tenant has run, so one-epoch CloudHost slices reach it too.
+  if (config_.async_deep_scan_every != 0 && !async_scan_ &&
+      totals_.epochs % config_.async_deep_scan_every == 0) {
+    launch_async_deep_scan();
+  }
+  return false;
+}
+
+void Crimes::replicate_commit(const EpochResult& epoch,
                               std::vector<Packet> held) {
   telemetry::TraceRecorder* trace =
       telemetry_ ? &telemetry_->trace : nullptr;
+  const std::uint64_t tampers_before = replicator_->tampers_detected();
   {
     CRIMES_TRACE_SPAN(trace, "replicate");
     // With attestation armed the commit carries the primary store's root;
@@ -678,24 +644,22 @@ void Crimes::replicate_commit(const EpochResult& epoch, RunSummary& summary,
         checkpointer_->checkpoints_taken(), epoch.dirty,
         checkpointer_->backup_vcpu(), clock_.now(), root);
     clock_.advance(sent.stall + sent.charge + sent.verify_cost);
-    summary.replication_stall += sent.stall;
+    totals_.replication_stall += sent.stall;
     if (trace != nullptr && sent.verify_cost.count() > 0) {
       trace->add_span("verify_chain", clock_.now() - sent.verify_cost,
                       sent.verify_cost);
     }
     if (sent.dropped) {
-      ++summary.replication_dropped;
+      ++totals_.replication_dropped;
     } else {
-      ++summary.replicated_generations;
+      ++totals_.replicated_generations;
     }
   }
-  // A standby-side verification failure is first-class evidence: recorded
-  // the moment it is detected, then frozen into a postmortem.
-  if (replicator_->attested() &&
-      replicator_->tampers_detected() > tamper_events_logged_) {
-    const std::uint64_t fresh =
-        replicator_->tampers_detected() - tamper_events_logged_;
-    tamper_events_logged_ = replicator_->tampers_detected();
+  // A standby-side verification failure is first-class evidence: counted
+  // and recorded the moment it is detected, then frozen into a postmortem.
+  const std::uint64_t fresh = replicator_->tampers_detected() - tampers_before;
+  if (fresh > 0) {
+    totals_.tampers_detected += fresh;
     if (flight_) {
       flight_->record(clock_.now(), epoch_index_,
                       telemetry::FlightEventKind::Tamper, "replication_verify",
@@ -706,7 +670,7 @@ void Crimes::replicate_commit(const EpochResult& epoch, RunSummary& summary,
         << "attestation verify failed on the replication stream at "
         << to_ms(clock_.now()) << " ms (generation "
         << checkpointer_->checkpoints_taken() << ")";
-    dump_postmortem("attestation-verify", summary);
+    dump_postmortem("attestation-verify");
   }
   // Lease renewal rides the healthy link; a promoted standby refuses the
   // old primary (its fencing epoch moved on), so the lease just runs out.
@@ -716,10 +680,10 @@ void Crimes::replicate_commit(const EpochResult& epoch, RunSummary& summary,
   }
   pending_release_.push_back(PendingRelease{
       checkpointer_->checkpoints_taken(), std::move(held)});
-  release_acked_outputs(summary);
+  release_acked_outputs();
 }
 
-void Crimes::release_acked_outputs(RunSummary& summary) {
+void Crimes::release_acked_outputs() {
   telemetry::TraceRecorder* trace =
       telemetry_ ? &telemetry_->trace : nullptr;
   replicator_->advance(clock_.now());
@@ -736,27 +700,27 @@ void Crimes::release_acked_outputs(RunSummary& summary) {
         network_.deliver(std::move(packet), clock_.now());
       }
     } else {
-      ++summary.fenced_epochs;
-      summary.outputs_discarded += entry.packets.size();
+      ++totals_.fenced_epochs;
+      totals_.outputs_discarded += entry.packets.size();
     }
   }
 }
 
-void Crimes::discard_pending_outputs(RunSummary& summary) {
+void Crimes::discard_pending_outputs() {
   for (const PendingRelease& entry : pending_release_) {
-    summary.outputs_discarded += entry.packets.size();
+    totals_.outputs_discarded += entry.packets.size();
   }
   pending_release_.clear();
 }
 
-void Crimes::fail_over(RunSummary& summary, Nanos failed_at) {
+void Crimes::fail_over(Nanos failed_at) {
   telemetry::TraceRecorder* trace =
       telemetry_ ? &telemetry_->trace : nullptr;
   if (cow_stash_.active) {
     // The in-flight drain died with the primary; its epoch never
     // committed, so its held outputs are discarded like any other
     // un-replicated epoch's.
-    summary.outputs_discarded += cow_stash_.held.size();
+    totals_.outputs_discarded += cow_stash_.held.size();
     cow_stash_ = {};
   }
   // The detector needs a heartbeat-free gap before it suspects, and every
@@ -775,8 +739,8 @@ void Crimes::fail_over(RunSummary& summary, Nanos failed_at) {
     // state that is not provably the primary's history, and resuming it
     // would launder the tamper. The VM stays a paused crime scene.
     promotion_refused_ = true;
-    ++summary.promotions_refused;
-    discard_pending_outputs(summary);
+    ++totals_.promotions_refused;
+    discard_pending_outputs();
     buffer_.drop_all();
     if (flight_) {
       flight_->record(clock_.now(), epoch_index_,
@@ -788,21 +752,21 @@ void Crimes::fail_over(RunSummary& summary, Nanos failed_at) {
         << "failover ABORTED at " << to_ms(clock_.now())
         << " ms: standby refused promotion (attestation chain broken at "
         << "generation " << report.promoted_generation << ")";
-    dump_postmortem("attestation-verify", summary);
+    dump_postmortem("attestation-verify");
     return;
   }
   failed_over_ = true;
-  summary.failed_over = true;
-  summary.failover_time = clock_.now() - failed_at;
-  summary.promoted_generation = report.promoted_generation;
-  summary.generations_rolled_back += report.generations_rolled_back;
+  totals_.failed_over = true;
+  totals_.failover_time = clock_.now() - failed_at;
+  totals_.promoted_generation = report.promoted_generation;
+  totals_.generations_rolled_back += report.generations_rolled_back;
   // Un-replicated epochs' outputs die with the primary: held, never
   // released, now discarded.
-  discard_pending_outputs(summary);
+  discard_pending_outputs();
   buffer_.drop_all();
   if (telemetry_) {
     telemetry_->metrics.histogram("failover.time")
-        .record(static_cast<std::uint64_t>(summary.failover_time.count()));
+        .record(static_cast<std::uint64_t>(totals_.failover_time.count()));
   }
   if (flight_) {
     flight_->record(clock_.now(), epoch_index_,
@@ -813,11 +777,11 @@ void Crimes::fail_over(RunSummary& summary, Nanos failed_at) {
   CRIMES_LOG(Warn, "crimes")
       << "primary killed at " << to_ms(failed_at) << " ms; standby running "
       << "from generation " << report.promoted_generation << " after "
-      << to_ms(summary.failover_time) << " ms";
-  dump_postmortem("failover", summary);
+      << to_ms(totals_.failover_time) << " ms";
+  dump_postmortem("failover");
 }
 
-void Crimes::split_brain_promote(RunSummary& summary) {
+void Crimes::split_brain_promote() {
   telemetry::TraceRecorder* trace =
       telemetry_ ? &telemetry_->trace : nullptr;
   const Nanos onset = standby_->detector().last_arrival();
@@ -831,7 +795,7 @@ void Crimes::split_brain_promote(RunSummary& summary) {
     // stream every epoch would change nothing.
     clock_.advance(report.cost);
     promotion_refused_ = true;
-    ++summary.promotions_refused;
+    ++totals_.promotions_refused;
     if (flight_) {
       flight_->record(clock_.now(), epoch_index_,
                       telemetry::FlightEventKind::Tamper, "promotion_refused",
@@ -842,7 +806,7 @@ void Crimes::split_brain_promote(RunSummary& summary) {
         << "split-brain promotion REFUSED at " << to_ms(clock_.now())
         << " ms: attestation chain broken at generation "
         << report.promoted_generation;
-    dump_postmortem("attestation-verify", summary);
+    dump_postmortem("attestation-verify");
     return;
   }
   // The promoted standby closes the replication channel: this primary's
@@ -853,17 +817,17 @@ void Crimes::split_brain_promote(RunSummary& summary) {
     trace->add_span("failover", start, clock_.now() - start);
   }
   failed_over_ = true;
-  summary.failed_over = true;
-  summary.failover_time = clock_.now() - onset;
-  summary.promoted_generation = report.promoted_generation;
-  summary.generations_rolled_back += report.generations_rolled_back;
+  totals_.failed_over = true;
+  totals_.failover_time = clock_.now() - onset;
+  totals_.promoted_generation = report.promoted_generation;
+  totals_.generations_rolled_back += report.generations_rolled_back;
   // This primary is now permanently fenced: its lease has expired (the
   // authority waited it out before promoting) and renewal is refused, so
   // everything it holds -- and will hold -- can only be discarded.
-  discard_pending_outputs(summary);
+  discard_pending_outputs();
   if (telemetry_) {
     telemetry_->metrics.histogram("failover.time")
-        .record(static_cast<std::uint64_t>(summary.failover_time.count()));
+        .record(static_cast<std::uint64_t>(totals_.failover_time.count()));
   }
   if (flight_) {
     flight_->record(clock_.now(), epoch_index_,
@@ -875,11 +839,10 @@ void Crimes::split_brain_promote(RunSummary& summary) {
       << "standby promoted behind a live primary (split brain) at "
       << to_ms(clock_.now()) << " ms; primary fenced at generation "
       << report.promoted_generation;
-  dump_postmortem("failover", summary);
+  dump_postmortem("failover");
 }
 
-Nanos Crimes::observe_epoch(const EpochResult& epoch, Nanos interval,
-                            RunSummary& summary) {
+Nanos Crimes::observe_epoch(const EpochResult& epoch, Nanos interval) {
   Nanos cost{0};
   if (flight_) {
     const char* outcome = epoch.cow_pending           ? "cow-pending"
@@ -921,9 +884,9 @@ Nanos Crimes::observe_epoch(const EpochResult& epoch, Nanos interval,
     const telemetry::SloState before = slo_->state();
     const telemetry::SloState after = slo_->observe(input);
     cost += costs_->slo_eval;
-    if (after == telemetry::SloState::Warn) ++summary.slo_warn_epochs;
+    if (after == telemetry::SloState::Warn) ++totals_.slo_warn_epochs;
     if (after == telemetry::SloState::Critical) {
-      ++summary.slo_critical_epochs;
+      ++totals_.slo_critical_epochs;
     }
     if (after != before && flight_) {
       flight_->record(clock_.now(), epoch_index_,
@@ -935,8 +898,7 @@ Nanos Crimes::observe_epoch(const EpochResult& epoch, Nanos interval,
   return cost;
 }
 
-Nanos Crimes::control_epoch(const EpochResult& epoch, Nanos interval,
-                            RunSummary& summary) {
+Nanos Crimes::control_epoch(const EpochResult& epoch, Nanos interval) {
   if (!control_) return Nanos{0};
   Nanos cost = costs_->control_observe;
 
@@ -975,12 +937,12 @@ Nanos Crimes::control_epoch(const EpochResult& epoch, Nanos interval,
 
   const control::ControlPlane::CycleResult result = control_->observe(in);
   if (result.cycle_ran) {
-    ++summary.control_cycles;
+    ++totals_.control_cycles;
     cost += costs_->control_cycle;
   }
-  if (result.held) ++summary.control_holds;
+  if (result.held) ++totals_.control_holds;
   if (result.decisions > 0) {
-    summary.control_adjustments += result.decisions;
+    totals_.control_adjustments += result.decisions;
     cost += costs_->control_apply * result.decisions;
     // Apply the new knob positions to the actuators. The interval takes
     // effect through current_interval() at the next epoch's start.
@@ -1017,7 +979,7 @@ Nanos Crimes::control_epoch(const EpochResult& epoch, Nanos interval,
   return cost;
 }
 
-void Crimes::dump_postmortem(std::string_view reason, RunSummary& summary) {
+void Crimes::dump_postmortem(std::string_view reason) {
   // Every abnormal path lands here, so flush the registered exporters
   // first: even with the recorder off (or the dump budget spent), a
   // partial run must leave complete, parseable trace/metrics files.
@@ -1063,24 +1025,14 @@ void Crimes::dump_postmortem(std::string_view reason, RunSummary& summary) {
     (void)telemetry_->flush_exports();
   }
   clock_.advance(costs_->postmortem_dump);
-  ++summary.postmortems_dumped;
+  ++totals_.postmortems_dumped;
   CRIMES_LOG(Warn, "flight")
       << "postmortem dumped (" << ctx.reason << ") at epoch " << epoch_index_
       << ", " << to_ms(clock_.now()) << " ms";
   postmortems_.push_back(std::move(record));
 }
 
-void Crimes::collect_attestation(RunSummary& summary) {
-  if (!replicator_ || !replicator_->attested()) return;
-  // Per-slice deltas, like faults_injected: CloudHost sums summaries.
-  summary.tampers_detected +=
-      replicator_->tampers_detected() - tampers_reported_;
-  tampers_reported_ = replicator_->tampers_detected();
-  summary.roots_verified += replicator_->roots_verified() - roots_reported_;
-  roots_reported_ = replicator_->roots_verified();
-}
-
-void Crimes::verify_store_seals(RunSummary& summary) {
+void Crimes::verify_store_seals() {
   if (!checkpointer_) return;
   store::CheckpointStore* store = checkpointer_->store();
   if (store == nullptr || !config_.checkpoint.store.crypto.enabled()) return;
@@ -1088,7 +1040,7 @@ void Crimes::verify_store_seals(RunSummary& summary) {
     const store::CheckpointStore::SealAudit audit = store->audit_seals();
     clock_.advance(audit.cost);
     if (!audit.bad_digests.empty()) {
-      summary.tampers_detected += audit.bad_digests.size();
+      totals_.tampers_detected += audit.bad_digests.size();
       if (flight_) {
         flight_->record(clock_.now(), epoch_index_,
                         telemetry::FlightEventKind::Tamper, "store_seal_audit",
@@ -1099,14 +1051,14 @@ void Crimes::verify_store_seals(RunSummary& summary) {
           << "seal audit found " << audit.bad_digests.size()
           << " tampered page(s) in the checkpoint store at "
           << to_ms(clock_.now()) << " ms";
-      dump_postmortem("seal-audit", summary);
+      dump_postmortem("seal-audit");
     }
   }
   if (config_.checkpoint.store.crypto.attest) {
     const store::CheckpointStore::ChainAudit chain = store->verify_chain();
     clock_.advance(chain.cost);
     if (!chain.ok) {
-      ++summary.tampers_detected;
+      ++totals_.tampers_detected;
       if (flight_) {
         flight_->record(clock_.now(), epoch_index_,
                         telemetry::FlightEventKind::Tamper, "store_chain",
@@ -1114,12 +1066,12 @@ void Crimes::verify_store_seals(RunSummary& summary) {
       }
       CRIMES_LOG(Error, "crimes")
           << "store attestation chain broken: " << chain.reason;
-      dump_postmortem("attestation-verify", summary);
+      dump_postmortem("attestation-verify");
     }
   }
 }
 
-void Crimes::verify_journal(RunSummary& summary) {
+void Crimes::verify_journal(bool failure_seen) {
   if (!checkpointer_ || checkpointer_->journal() == nullptr) return;
   // Without attestation, fsck only after a slice with a failure signature:
   // CloudHost calls run() once per epoch, and a clean slice has nothing to
@@ -1127,17 +1079,13 @@ void Crimes::verify_journal(RunSummary& summary) {
   // -- an adversary can rewrite it without tripping anything else (the
   // framing checksum is unkeyed), so the keyed walk always runs and
   // localizes which durable record was touched.
-  if (!config_.checkpoint.store.crypto.attest &&
-      summary.checkpoint_failures == 0 && !summary.frozen_by_governor &&
-      !summary.failed_over && !summary.primary_killed) {
-    return;
-  }
+  if (!config_.checkpoint.store.crypto.attest && !failure_seen) return;
   const replication::StoreJournal::FsckReport report =
       checkpointer_->journal()->fsck();
   clock_.advance(costs_->journal_scan_per_record * report.records);
   if (report.ok) return;
   const bool keyed = report.reason.rfind("attestation", 0) == 0;
-  if (keyed) ++summary.tampers_detected;
+  if (keyed) ++totals_.tampers_detected;
   if (flight_) {
     // Structured evidence: which record, at what byte offset, and why.
     flight_->record(clock_.now(), epoch_index_,
@@ -1151,7 +1099,7 @@ void Crimes::verify_journal(RunSummary& summary) {
       << "fsck failed at record " << report.bad_record << " (offset "
       << report.bad_offset << " of " << report.records << " records): "
       << (report.reason.empty() ? report.error : report.reason);
-  dump_postmortem("journal-fsck", summary);
+  dump_postmortem("journal-fsck");
 }
 
 std::string Crimes::config_summary() const {
@@ -1172,11 +1120,7 @@ std::string Crimes::config_summary() const {
 
 Nanos Crimes::current_interval() const {
   Nanos base = config_.checkpoint.epoch_interval;
-  if (control_) {
-    base = control_->interval();
-  } else if (adaptive_) {
-    base = adaptive_->interval();
-  }
+  if (control_) base = control_->interval();
   if (host_interval_scale_ != 1.0) {
     // Shed ladder rung 1: the host stretches epochs multiplicatively on
     // top of the tenant's own tuning, so the tenant's loop keeps steering.
@@ -1289,7 +1233,7 @@ Crimes::HoneypotLog Crimes::run_honeypot(Nanos duration) {
   return log;
 }
 
-void Crimes::respond(const EpochResult& epoch, Nanos epoch_start) {
+void Crimes::respond(Nanos epoch_start) {
   telemetry::TraceRecorder* trace =
       telemetry_ ? &telemetry_->trace : nullptr;
   AttackReport report;
@@ -1421,7 +1365,6 @@ void Crimes::respond(const EpochResult& epoch, Nanos epoch_start) {
   }
 
   attack_ = std::move(report);
-  (void)epoch;
 }
 
 void Crimes::analyze_malware(forensics::ForensicReport& report,

@@ -22,7 +22,6 @@
 #include "common/cost_model.h"
 #include "common/sim_clock.h"
 #include "control/control_plane.h"
-#include "core/adaptive_interval.h"
 #include "detect/detector.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
@@ -73,10 +72,6 @@ struct CrimesConfig {
   // rootkits thorough enough to evade the cheap online scans, at the cost
   // of a detection lag of roughly the deep-scan duration. 0 = disabled.
   std::size_t async_deep_scan_every = 0;
-  // Extension: automate the paper's per-workload epoch-interval tuning
-  // (section 3.1). When enabled, the interval floats inside
-  // [min_interval, max_interval] tracking a target pause-overhead ratio.
-  AdaptiveIntervalConfig adaptive;
   // Telemetry layer: per-epoch phase spans (suspend/dirty_scan/audit/map/
   // copy/resume, scan:<module>, commit/rollback/replay, buffer_release) on
   // a TraceRecorder plus a MetricsRegistry of phase histograms, exportable
@@ -114,8 +109,8 @@ struct CrimesConfig {
   // Closed-loop control plane (src/control, DESIGN.md section 14). Off by
   // default -- no ControlPlane is built and the per-epoch path costs
   // nothing. When enabled it implies `telemetry` (the policies read
-  // windowed percentiles from the time-series engine) and subsumes
-  // `adaptive` (its interval policy wins over AdaptiveIntervalController).
+  // windowed percentiles from the time-series engine); its interval
+  // policy is the only run-time interval controller.
   control::ControlConfig control;
   // Postmortem destination: when non-empty, every dump also writes
   // `<dir>/<tenant>-<reason>-<epoch>.postmortem.json`. In-memory records
@@ -200,15 +195,14 @@ struct RunSummary {
   std::size_t fenced_epochs = 0;
 
   // --- Attested storage & replication (src/crypto, DESIGN.md section 15):
-  // all zero unless checkpoint.store.crypto is armed. Per-slice deltas,
-  // like faults_injected.
+  // all zero unless checkpoint.store.crypto is armed.
   std::uint64_t tampers_detected = 0;   // verify failures, any boundary
   std::uint64_t roots_verified = 0;     // attestation root checks that ran
   std::size_t promotions_refused = 0;   // failovers vetoed by the chain
 
   // --- Observability (src/telemetry, DESIGN.md section 13): epochs the
   // SLO monitor spent in each degraded health state, and postmortems the
-  // flight recorder froze. Per-slice counts, like faults_injected.
+  // flight recorder froze.
   std::size_t slo_warn_epochs = 0;
   std::size_t slo_critical_epochs = 0;
   std::size_t postmortems_dumped = 0;
@@ -253,6 +247,8 @@ struct RunSummary {
     return static_cast<double>(pause_histogram.p99()) / 1e6;
   }
   [[nodiscard]] PhaseCosts avg_costs() const;
+
+  bool operator==(const RunSummary&) const = default;
 };
 
 class Crimes {
@@ -269,10 +265,12 @@ class Crimes {
   void initialize();
 
   // --- Execution ----------------------------------------------------------
-  // Runs epochs until the workload finishes, `max_work_time` of guest time
-  // has executed, or an attack is detected (which triggers the full
-  // response pipeline before returning).
-  RunSummary run(Nanos max_work_time);
+  // Runs epochs until the workload finishes, `max_work_time` more guest
+  // time has executed, or an attack is detected (which triggers the full
+  // response pipeline before returning). Returns the cumulative totals of
+  // every run() so far (CloudHost calls it once per epoch).
+  const RunSummary& run(Nanos max_work_time);
+  [[nodiscard]] const RunSummary& totals() const { return totals_; }
 
   [[nodiscard]] const AttackReport* attack() const {
     return attack_ ? &*attack_ : nullptr;
@@ -303,12 +301,8 @@ class Crimes {
   [[nodiscard]] const CrimesConfig& config() const { return config_; }
   [[nodiscard]] GuestKernel& kernel() { return *kernel_; }
   // The epoch interval currently in force (differs from the configured one
-  // only when the control plane or adaptive tuning is enabled; the control
-  // plane's interval policy wins when both are on).
+  // only when the control plane or the host's shed ladder moved it).
   [[nodiscard]] Nanos current_interval() const;
-  [[nodiscard]] std::size_t interval_adjustments() const {
-    return adaptive_ ? adaptive_->adjustments() : 0;
-  }
   // The control plane, or nullptr when CrimesConfig::control is off.
   [[nodiscard]] control::ControlPlane* control_plane() {
     return control_.get();
@@ -344,8 +338,8 @@ class Crimes {
   // whose governor is non-Normal.
   //
   // Rung 1: stretch (or restore, scale=1.0) the epoch interval. Applied
-  // multiplicatively on top of whatever the control plane / adaptive
-  // controller decided, so the tenant's own loop keeps steering.
+  // multiplicatively on top of whatever the control plane decided, so the
+  // tenant's own loop keeps steering.
   void set_host_interval_scale(double scale) { host_interval_scale_ = scale; }
   [[nodiscard]] double host_interval_scale() const {
     return host_interval_scale_;
@@ -427,54 +421,53 @@ class Crimes {
   void apply_output_mode(SafetyMode mode);
   // Applies a governor transition; returns true when the run must stop
   // (Freeze).
-  [[nodiscard]] bool apply_governor_action(fault::SafetyGovernor::Action
-                                               action,
-                                           RunSummary& summary);
-  void respond(const EpochResult& epoch, Nanos epoch_start);
+  [[nodiscard]] bool apply_governor_action(
+      fault::SafetyGovernor::Action action);
+  void respond(Nanos epoch_start);
   // Commit barrier for the speculative CoW drain stashed by the previous
   // epoch: completes the drain (overlapped with the epoch that just ran),
   // releases or re-holds the stashed outputs, and feeds the governor.
-  // Returns false when the governor froze the pipeline.
-  [[nodiscard]] bool finish_cow_commit(RunSummary& summary);
+  // Returns false when the run must stop (governor freeze, or an attack
+  // surfaced by the async deep scan).
+  [[nodiscard]] bool finish_cow_commit();
+  // Async deep-scan extension, after every committed epoch: consumes a
+  // finished scan and launches the next one when the cumulative epoch
+  // count is due. Returns true when the scan's evidence triggered the
+  // attack response.
+  [[nodiscard]] bool async_deep_scan_step(Nanos epoch_start);
   // Replication helpers (all no-ops unless the replicator exists). `held`
   // is the committed epoch's output set (captured at protect time on the
   // CoW path, so the draining epoch's packets never mix with the next
   // epoch's).
-  void replicate_commit(const EpochResult& epoch, RunSummary& summary,
-                        std::vector<Packet> held);
-  void release_acked_outputs(RunSummary& summary);
-  void discard_pending_outputs(RunSummary& summary);
+  void replicate_commit(const EpochResult& epoch, std::vector<Packet> held);
+  void release_acked_outputs();
+  void discard_pending_outputs();
   // Kill-path failover: the primary host died at clock_.now(); waits out
   // suspicion + lease expiry, promotes the standby, records telemetry.
-  void fail_over(RunSummary& summary, Nanos failed_at);
+  void fail_over(Nanos failed_at);
   // Split-brain-path promotion: the standby, unheard-from, promotes while
   // the (fenced) primary keeps running.
-  void split_brain_promote(RunSummary& summary);
+  void split_brain_promote();
   // Observability helpers. observe_epoch feeds the flight recorder, the
   // time-series engine and the SLO monitor at the epoch boundary and
   // charges the (tiny) virtual cost of that work into the pause
   // accounting; dump_postmortem freezes the evidence (ring + series +
   // SLO history + config) on the abnormal paths.
-  Nanos observe_epoch(const EpochResult& epoch, Nanos interval,
-                      RunSummary& summary);
+  Nanos observe_epoch(const EpochResult& epoch, Nanos interval);
   // Control-plane step at the epoch boundary (after observe_epoch, so the
   // inputs include this epoch's telemetry sample): records inputs, runs
   // the cycle when due, applies decisions to the actuators, and returns
   // the virtual cost to charge into the pause (PhaseCosts::control).
-  Nanos control_epoch(const EpochResult& epoch, Nanos interval,
-                      RunSummary& summary);
-  void dump_postmortem(std::string_view reason, RunSummary& summary);
-  // End-of-run journal verification: fsck after any failure signature (a
-  // detected tamper counts as one when attestation is armed); a failed
+  Nanos control_epoch(const EpochResult& epoch, Nanos interval);
+  void dump_postmortem(std::string_view reason);
+  // End-of-run journal verification: fsck when this run() call saw a
+  // failure signature, and always when attestation is armed; a failed
   // fsck is itself a postmortem trigger.
-  void verify_journal(RunSummary& summary);
+  void verify_journal(bool failure_seen);
   // End-of-run storage sweep (DESIGN.md section 15): re-MAC every sealed
   // page and re-verify the attestation chain at the store boundary. Every
   // detection becomes flight-recorder evidence and a postmortem.
-  void verify_store_seals(RunSummary& summary);
-  // Folds the replicator's attestation counters into the summary (and the
-  // flight recorder, once per detection).
-  void collect_attestation(RunSummary& summary);
+  void verify_store_seals();
   void analyze_malware(forensics::ForensicReport& report,
                        const MemoryDump& clean, const MemoryDump& bad,
                        const Finding& finding);
@@ -496,8 +489,13 @@ class Crimes {
   std::unique_ptr<VmiSession> vmi_;
   std::unique_ptr<Checkpointer> checkpointer_;
   std::unique_ptr<ReplayEngine> replay_;
-  std::optional<AdaptiveIntervalController> adaptive_;
   std::unique_ptr<telemetry::Telemetry> telemetry_;
+
+  // The tenant's cumulative summary: every epoch updates it in place, and
+  // run() returns it. The pause histogram is snapshotted into it at the
+  // end of each run() (recording is two relaxed atomic adds per epoch).
+  RunSummary totals_;
+  telemetry::Histogram pause_hist_;
 
   // Control plane (persists across run() slices like the governor: knob
   // positions and hysteresis state must survive CloudHost's one-epoch
@@ -522,7 +520,6 @@ class Crimes {
   std::optional<fault::SafetyGovernor> governor_;
   SafetyMode active_mode_ = SafetyMode::Synchronous;
   std::size_t epoch_index_ = 0;
-  std::uint64_t faults_reported_ = 0;  // injector total already summarized
 
   // Host-arbiter state (persists across run() slices like the governor's;
   // all inert at defaults -- the no-CloudHost path never reads past them).
@@ -540,12 +537,6 @@ class Crimes {
     return host_gc_cap_ == 0 ? budget : std::min(budget, host_gc_cap_);
   }
 
-  // Attestation accounting (per-slice deltas, like faults_reported_), plus
-  // the flight-recorder's high-water mark so each detection is recorded as
-  // evidence exactly once.
-  std::uint64_t tampers_reported_ = 0;
-  std::uint64_t roots_reported_ = 0;
-  std::uint64_t tamper_events_logged_ = 0;
   bool promotion_refused_ = false;  // chain veto is final for this standby
 
   // Replication state (persists across run() slices, like the governor's).

@@ -33,11 +33,6 @@ struct CryptoConfig {
   // bit-identical (the determinism self-checks rely on it).
   std::uint64_t tenant_key = 0x5EA1ED'C0DE'1EAFULL;
 
-  // Verify the MAC on every materialize/rewind (detection at the read
-  // boundary). Off leaves detection to explicit verify_seals() sweeps
-  // and the journal/replication boundaries only.
-  bool verify_materialize = true;
-
   [[nodiscard]] bool enabled() const { return seal || attest; }
 };
 

@@ -26,7 +26,8 @@ namespace {
 
 void copy_field(char* dst, std::size_t cap, std::string_view src) {
   const std::size_t n = std::min(cap - 1, src.size());
-  std::memcpy(dst, src.data(), n);
+  // An empty view may carry a null data(), which memcpy must never see.
+  if (n != 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

@@ -6,7 +6,7 @@
 // epoch* blew that budget, so the hot path records into these cells:
 //
 //   Counter    monotonic event count (epochs, packets, audit failures)
-//   Gauge      last-written value (current adaptive interval)
+//   Gauge      last-written value (current control-plane interval)
 //   Histogram  fixed log2-bucket distribution with p50/p95/p99/max
 //
 // Everything is lock-free on the record path (relaxed atomics), so the
@@ -78,8 +78,7 @@ struct HistogramSnapshot {
 
   // Bucket-wise accumulation. Because bucket boundaries are fixed, merging
   // per-tenant histograms yields exactly the histogram one shared recorder
-  // would have produced -- the property CloudHost totals rely on (a test
-  // asserts merge == recomputed union).
+  // would have produced (a test asserts merge == recomputed union).
   void merge_from(const HistogramSnapshot& other);
   // Bucket-wise difference against an *earlier* snapshot of the same
   // histogram: the distribution of just the samples recorded in between.
@@ -90,6 +89,8 @@ struct HistogramSnapshot {
   // p50/p95/p99 are built from.
   [[nodiscard]] HistogramSnapshot delta_since(
       const HistogramSnapshot& earlier) const;
+
+  bool operator==(const HistogramSnapshot&) const = default;
 };
 
 // Fixed-bucket log2 histogram. Bucket 0 holds the value 0; bucket i >= 1

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace crimes {
 namespace {
 
@@ -166,6 +169,85 @@ TEST(CloudHost, AdmitWithoutHostConfigAlwaysAccepts) {
   EXPECT_EQ(result.decision.verdict, AdmissionDecision::Verdict::Accept);
   EXPECT_STREQ(result.decision.reason, "host-admission-disabled");
   EXPECT_TRUE(host.admission_log().empty());
+}
+
+// The same tenant (policy, guest, workload seed) run solo through one
+// Crimes::run call and as the only tenant of a CloudHost, which drives it
+// one epoch per run() call. The workload finishes well inside the budget,
+// so both stop at the same epoch.
+constexpr Nanos kTwinBudget = millis(2000);
+
+ParsecProfile twin_profile() { return small_profile(600.0); }
+
+RunSummary run_solo(const CrimesConfig& config) {
+  Hypervisor hypervisor(1u << 19);
+  Vm& vm = hypervisor.create_domain("twin", small_guest().page_count);
+  GuestKernel kernel(vm, small_guest());
+  kernel.boot();
+  Crimes crimes(hypervisor, kernel, config);
+  ParsecWorkload load(kernel, twin_profile(), 7);
+  crimes.set_workload(&load);
+  crimes.initialize();
+  return crimes.run(kTwinBudget);
+}
+
+RunSummary run_hosted(const CrimesConfig& config) {
+  CloudHost host(1u << 19);
+  Tenant& tenant = host.admit({"twin", small_guest(), config});
+  ParsecWorkload load(tenant.kernel(), twin_profile(), 7);
+  tenant.set_workload(&load);
+  host.initialize_all();
+  (void)host.run(kTwinBudget);
+  return tenant.totals();
+}
+
+TEST(CloudHost, TenantTotalsEqualTheSoloRun) {
+  CrimesConfig storm = tenant_crimes();
+  storm.faults = fault::FaultPlan::transport_storm(0.6, 2, 8);
+  storm.governor.enabled = true;
+  CrimesConfig replicated = tenant_crimes();
+  replicated.replication.enabled = true;
+  replicated.replication.heartbeat.interval = millis(50);
+  replicated.replication.lease_term = millis(200);
+  CrimesConfig controlled = tenant_crimes();
+  controlled.control.enabled = true;
+  CrimesConfig stored = tenant_crimes();
+  stored.checkpoint.store.enabled = true;
+  CrimesConfig sealed = stored;
+  sealed.checkpoint.store.crypto.seal = true;
+  sealed.checkpoint.store.crypto.attest = true;
+  CrimesConfig sealed_replicated = sealed;
+  sealed_replicated.replication = replicated.replication;
+
+  const std::vector<std::pair<const char*, CrimesConfig>> legs{
+      {"full", tenant_crimes()},
+      {"transport-storm", storm},
+      {"replicated", replicated},
+      {"control-plane", controlled},
+      {"store", stored},
+      {"sealed-attested", sealed},
+      {"sealed-attested-replicated", sealed_replicated},
+  };
+  for (const auto& [name, config] : legs) {
+    SCOPED_TRACE(name);
+    const RunSummary solo = run_solo(config);
+    const RunSummary hosted = run_hosted(config);
+    EXPECT_GT(solo.epochs, 1u);
+    EXPECT_TRUE(hosted == solo) << "epochs " << hosted.epochs << " vs "
+                                << solo.epochs << ", roots_verified "
+                                << hosted.roots_verified << " vs "
+                                << solo.roots_verified;
+  }
+}
+
+TEST(CloudHost, CowTenantTotalsCarryTheDrain) {
+  // A CoW drain still settles at the end of every one-epoch slice, so its
+  // totals differ from a solo run's; the drain must still be counted.
+  CrimesConfig config = tenant_crimes();
+  config.checkpoint = CheckpointConfig::cow(millis(50));
+  const RunSummary hosted = run_hosted(config);
+  EXPECT_GT(hosted.checkpoints, 1u);
+  EXPECT_GT(hosted.cow_drain_time.count(), 0);
 }
 
 }  // namespace

@@ -66,7 +66,8 @@ TEST(CrimesApi, AvgCostsAreTotalsOverCheckpoints) {
 }
 
 TEST(CrimesApi, RunCanBeResumedAcrossCalls) {
-  // CloudHost relies on run() being callable repeatedly in epoch slices.
+  // CloudHost relies on run() being callable repeatedly in epoch slices;
+  // each call adds one epoch to the cumulative totals it returns.
   TestGuest guest;
   CrimesConfig config;
   config.checkpoint = CheckpointConfig::full(millis(50));
@@ -79,11 +80,13 @@ TEST(CrimesApi, RunCanBeResumedAcrossCalls) {
   crimes.set_workload(&app);
   crimes.initialize();
 
-  std::size_t total_epochs = 0;
+  std::size_t calls = 0;
   while (!app.finished()) {
-    total_epochs += crimes.run(millis(50)).epochs;
+    ++calls;
+    EXPECT_EQ(crimes.run(millis(50)).epochs, calls);
   }
-  EXPECT_EQ(total_epochs, 4u);
+  EXPECT_EQ(calls, 4u);
+  EXPECT_EQ(crimes.totals().work_time, millis(200));
   EXPECT_TRUE(app.finished());
 }
 

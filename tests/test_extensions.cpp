@@ -2,6 +2,7 @@
 // remote backups (section 4.1), disk snapshots (section 3.1), asynchronous
 // deep scans on the backup checkpoint (section 5.3 future work), and the
 // honeypot response mode (section 6).
+#include "cloud/cloud_host.h"
 #include "core/crimes.h"
 #include "detect/hidden_process_scan.h"
 #include "detect/idt_integrity_scan.h"
@@ -113,30 +114,38 @@ TEST(DiskSnapshot, BestEffortAttackRevertsDiskToLastCheckpoint) {
 
 // --- Asynchronous deep scan ---------------------------------------------------
 
-TEST(AsyncDeepScan, CatchesRootkitThatEvadesOnlineScans) {
-  TestGuest guest;
+// Hides a process in its first epoch, scrubbing the pid hash too, so the
+// online cross-view cannot see it.
+class ThoroughRootkit final : public Workload {
+ public:
+  explicit ThoroughRootkit(GuestKernel& kernel) : kernel_(&kernel) {}
+  [[nodiscard]] std::string name() const override { return "rootkit"; }
+  void run_epoch(Nanos, Nanos) override {
+    ++epoch_;
+    if (epoch_ == 1) {
+      const Pid pid = kernel_->spawn_process("cryptominer", 0);
+      kernel_->attack_hide_process(pid, /*scrub_pid_hash=*/true);
+    }
+  }
+
+ private:
+  GuestKernel* kernel_;
+  int epoch_ = 0;
+};
+
+CrimesConfig deep_scan_config() {
   CrimesConfig config;
   config.checkpoint = CheckpointConfig::full(millis(50));
   config.async_deep_scan_every = 2;
-  Crimes crimes(guest.hypervisor, *guest.kernel, config);
+  return config;
+}
+
+TEST(AsyncDeepScan, CatchesRootkitThatEvadesOnlineScans) {
+  TestGuest guest;
+  Crimes crimes(guest.hypervisor, *guest.kernel, deep_scan_config());
   // Online module registered too: it must NOT fire (the rootkit scrubs
   // the pid hash), proving the async path found it.
   crimes.add_module(std::make_unique<HiddenProcessModule>());
-
-  class ThoroughRootkit final : public Workload {
-   public:
-    explicit ThoroughRootkit(GuestKernel& kernel) : kernel_(&kernel) {}
-    [[nodiscard]] std::string name() const override { return "rootkit"; }
-    void run_epoch(Nanos, Nanos) override {
-      ++epoch_;
-      if (epoch_ == 1) {
-        const Pid pid = kernel_->spawn_process("cryptominer", 0);
-        kernel_->attack_hide_process(pid, /*scrub_pid_hash=*/true);
-      }
-    }
-    GuestKernel* kernel_;
-    int epoch_ = 0;
-  };
 
   ThoroughRootkit app(*guest.kernel);
   crimes.set_workload(&app);
@@ -151,6 +160,26 @@ TEST(AsyncDeepScan, CatchesRootkitThatEvadesOnlineScans) {
   // Detection lag: the deep scan launched at epoch 2 and its result (a
   // ~500 ms Volatility pass) is consumed at a later epoch boundary.
   EXPECT_GT(summary.epochs, 2u);
+}
+
+TEST(AsyncDeepScan, CatchesRootkitUnderCloudHost) {
+  // CloudHost runs the tenant one epoch per run() call; the deep-scan
+  // cadence counts the tenant's epochs, not the call's.
+  CloudHost host(1u << 19);
+  Tenant& tenant =
+      host.admit({"rootkit", TestGuest::small_config(), deep_scan_config()});
+  tenant.crimes().add_module(std::make_unique<HiddenProcessModule>());
+  ThoroughRootkit app(tenant.kernel());
+  tenant.set_workload(&app);
+  host.initialize_all();
+  const CloudRunReport report = host.run(millis(3000));
+
+  EXPECT_EQ(report.tenants_attacked, 1u);
+  ASSERT_TRUE(tenant.totals().attack_detected);
+  ASSERT_NE(tenant.crimes().attack(), nullptr);
+  ASSERT_FALSE(tenant.crimes().attack()->findings.empty());
+  EXPECT_EQ(tenant.crimes().attack()->findings[0].module, "async-psxview");
+  EXPECT_TRUE(tenant.frozen());
 }
 
 TEST(AsyncDeepScan, CleanGuestNeverTriggers) {

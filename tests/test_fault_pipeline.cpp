@@ -336,7 +336,7 @@ TEST(FaultPipeline, GovernorFreezesWhenTheCheckpointPathIsLost) {
 
   // A frozen pipeline stays frozen: re-running makes no progress.
   const RunSummary again = crimes.run(millis(10000));
-  EXPECT_EQ(again.epochs, 0u);
+  EXPECT_EQ(again.epochs, summary.epochs);
   EXPECT_TRUE(again.frozen_by_governor);
 }
 
@@ -388,9 +388,9 @@ TEST(FaultPipeline, SynchronousHoldsOutputsWhileCheckpointsFail) {
   // Drive epoch by epoch (CloudHost-style slices) and watch the wire.
   std::size_t released_after_failures = 0;
   for (std::size_t epoch = 0; epoch < 6; ++epoch) {
-    const RunSummary slice = crimes.run(millis(50));
+    const RunSummary& totals = crimes.run(millis(50));
     if (epoch < 3) {
-      EXPECT_EQ(slice.checkpoint_failures, 1u) << "epoch " << epoch;
+      EXPECT_EQ(totals.checkpoint_failures, epoch + 1) << "epoch " << epoch;
       EXPECT_EQ(crimes.network().delivered_count(), 0u)
           << "output escaped an uncommitted epoch " << epoch;
     }

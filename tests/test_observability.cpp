@@ -119,7 +119,7 @@ TEST(HistogramMerge, CloudHostMergesTenantPauseHistograms) {
 
   for (const Tenant* t : {&a, &b}) {
     EXPECT_EQ(t->totals().pause_histogram.count, t->totals().epochs)
-        << "per-slice histograms must merge across epochs";
+        << "the tenant's histogram must count every epoch";
     EXPECT_EQ(t->totals().pause_histogram.max,
               static_cast<std::uint64_t>(t->totals().max_pause.count()));
     EXPECT_LE(t->totals().pause_histogram.p50(),
