@@ -602,7 +602,8 @@ bool Checkpointer::backup_matches(ForeignMapping& primary,
                                   ForeignMapping& backup,
                                   std::span<const Pfn> dirty) const {
   for (const Pfn pfn : dirty) {
-    if (fnv1a(primary.peek(pfn).bytes()) != fnv1a(backup.peek(pfn).bytes())) {
+    if (hash128(primary.peek(pfn).bytes()) !=
+        hash128(backup.peek(pfn).bytes())) {
       return false;
     }
   }

@@ -95,7 +95,7 @@ struct CheckpointConfig {
   // byte-identical to what the stop-copy path produces.
   bool speculative_cow = false;
   // Resilience layer (DESIGN.md section 9): after every copy, checksum the
-  // dirty pages on both sides (FNV-1a, really computed) and retry a
+  // dirty pages on both sides (hash128, really computed) and retry a
   // mismatched or aborted copy with exponential backoff. Off by default --
   // the checksum sweep costs pause time -- but forced on by Crimes
   // whenever a FaultPlan is active.
@@ -276,7 +276,7 @@ class Checkpointer {
   // True while a speculative CoW drain is in flight.
   [[nodiscard]] bool cow_drain_pending() const;
   // Completes the in-flight drain: background-copies the pages the guest
-  // never touched (fusing the per-page FNV-1a digest into the copy loop),
+  // never touched (fusing the per-page 128-bit digest into the copy loop),
   // verifies/retries under fault injection, and either commits the epoch
   // (backup advanced, store appended with the fused digests, journal
   // batched) or restores the backup untorn and re-marks the dirty set.
@@ -346,7 +346,7 @@ class Checkpointer {
  private:
   void full_sync();
   [[nodiscard]] Nanos map_cost(std::size_t dirty_pages) const;
-  // FNV-1a page checksums of primary vs backup over `dirty`; the
+  // hash128 page checksums of primary vs backup over `dirty`; the
   // virtual-time charge (2 sweeps) is added by the caller.
   [[nodiscard]] bool backup_matches(ForeignMapping& primary,
                                     ForeignMapping& backup,

@@ -14,12 +14,11 @@ namespace crimes {
 
 namespace {
 
-// Fused copy+digest of one page, remapped exactly like store::page_digest
-// so the captured digests drop into the store's manifests unchanged.
-std::uint64_t copy_page_fused(Page& dst, const Page& src) {
-  const std::uint64_t h =
-      copy_and_fnv1a(dst.data.data(), src.data.data(), kPageSize);
-  return h == store::kZeroDigest ? 0x9E3779B97F4A7C15ULL : h;
+// Fused copy+digest of one page, keyed exactly like store::page_digest so
+// the captured digests drop into the store's manifests unchanged.
+Hash128 copy_page_fused(Page& dst, const Page& src) {
+  return store::as_page_digest(
+      copy_and_hash(dst.data.data(), src.data.data(), kPageSize));
 }
 
 }  // namespace
@@ -46,7 +45,7 @@ Nanos CowCheckpointer::protect(std::vector<Pfn> dirty, const VcpuState& vcpu,
   slot_of_.clear();
   slot_of_.reserve(dirty_.size());
   for (std::size_t i = 0; i < dirty_.size(); ++i) slot_of_[dirty_[i]] = i;
-  digests_.assign(dirty_.size(), 0);
+  digests_.assign(dirty_.size(), Hash128{});
   touched_.assign(dirty_.size(), false);
   first_touches_ = 0;
   first_touch_cost_ = Nanos{0};

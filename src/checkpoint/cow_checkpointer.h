@@ -20,9 +20,10 @@
 // would have produced -- the property the test suite and the
 // ablation_cow_pause bench assert run by run.
 //
-// The per-page FNV-1a digest is fused into both copy loops (one pass over
-// the bytes instead of copy-then-digest), so the checkpoint store's append
-// skips its hash pass and backup verification reuses the captured digests.
+// The per-page 128-bit digest (common/hash.h's copy_and_hash) is fused into
+// both copy loops (one pass over the bytes instead of copy-then-digest), so
+// the checkpoint store's append skips its hash pass and backup
+// verification reuses the captured digests.
 //
 // Fault discipline: an aborted drain attempt really copies a prefix and
 // retries with backoff; a torn write can only strike a *background-drained*
@@ -36,6 +37,7 @@
 
 #include "checkpoint/checkpointer.h"
 #include "common/cost_model.h"
+#include "common/hash.h"
 #include "common/sim_clock.h"
 #include "hypervisor/hypervisor.h"
 
@@ -86,7 +88,7 @@ class CowCheckpointer {
   // Valid after a committed complete(): parallel arrays for the store's
   // append_with_digests.
   [[nodiscard]] const std::vector<Pfn>& dirty() const { return dirty_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& digests() const {
+  [[nodiscard]] const std::vector<Hash128>& digests() const {
     return digests_;
   }
   [[nodiscard]] const VcpuState& vcpu_at_checkpoint() const { return vcpu_; }
@@ -105,7 +107,7 @@ class CowCheckpointer {
   bool want_digests_ = false;
   std::vector<Pfn> dirty_;
   std::unordered_map<Pfn, std::size_t> slot_of_;  // pfn -> index in dirty_
-  std::vector<std::uint64_t> digests_;            // parallel to dirty_
+  std::vector<Hash128> digests_;                  // parallel to dirty_
   std::vector<bool> touched_;                     // parallel to dirty_
   std::vector<Page> undo_;  // backup bytes before this drain (may be empty)
   VcpuState vcpu_;

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
+#include <stdexcept>
 
 namespace crimes {
 
@@ -104,33 +106,160 @@ Nanos MemcpyTransport::copy(ForeignMapping& primary, ForeignMapping& backup,
 }
 
 namespace rle {
+namespace {
 
-std::vector<std::byte> encode(std::span<const std::byte> data) {
-  std::vector<std::byte> out;
-  out.reserve(64);
+static_assert(std::endian::native == std::endian::little,
+              "the RLE codec loads and stores little-endian words");
+
+constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
+constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
+
+std::uint64_t load_word(const std::byte* at) {
+  std::uint64_t word = 0;
+  std::memcpy(&word, at, sizeof word);
+  return word;
+}
+
+// 0x80 in every byte of `word` that is non-zero, 0 in every zero byte.
+// Exact per byte: the low-7-bit add cannot carry into the next byte.
+constexpr std::uint64_t nonzero_bytes(std::uint64_t word) {
+  return (((word & kLow7) + kLow7) | word) & kHigh;
+}
+
+// Length of the zero run starting at data[from], stopping at `limit`.
+std::size_t zero_run(std::span<const std::byte> data, std::size_t from,
+                     std::size_t limit) {
+  std::size_t i = from;
+  for (; i + 8 <= limit; i += 8) {
+    const std::uint64_t word = load_word(data.data() + i);
+    if (word != 0) return i - from + std::countr_zero(word) / 8;
+  }
+  while (i < limit && data[i] == std::byte{0}) ++i;
+  return i - from;
+}
+
+// Length of the non-zero run starting at data[from], stopping at `limit`.
+std::size_t literal_run(std::span<const std::byte> data, std::size_t from,
+                        std::size_t limit) {
+  std::size_t i = from;
+  for (; i + 8 <= limit; i += 8) {
+    const std::uint64_t zeros =
+        ~nonzero_bytes(load_word(data.data() + i)) & kHigh;
+    if (zeros != 0) return i - from + std::countr_zero(zeros) / 8;
+  }
+  while (i < limit && data[i] != std::byte{0}) ++i;
+  return i - from;
+}
+
+// Walks the records of encode(data): a zero run then a literal run, each
+// capped at kMaxRun. emit(zeros, literal_offset, literals) per record.
+template <typename Emit>
+void for_each_record(std::span<const std::byte> data, Emit&& emit) {
   std::size_t i = 0;
   while (i < data.size()) {
-    std::size_t zeros = 0;
-    while (i + zeros < data.size() && data[i + zeros] == std::byte{0} &&
-           zeros < 0xFFFF) {
-      ++zeros;
-    }
-    std::size_t lit_start = i + zeros;
-    std::size_t lits = 0;
-    while (lit_start + lits < data.size() &&
-           data[lit_start + lits] != std::byte{0} && lits < 0xFFFF) {
-      ++lits;
-    }
-    const std::size_t base = out.size();
-    out.resize(base + 4 + lits);
-    store_le<std::uint16_t>(out, base, static_cast<std::uint16_t>(zeros));
-    store_le<std::uint16_t>(out, base + 2, static_cast<std::uint16_t>(lits));
-    if (lits > 0) {
-      std::memcpy(out.data() + base + 4, data.data() + lit_start, lits);
-    }
+    const std::size_t zeros =
+        zero_run(data, i, std::min(data.size(), i + kMaxRun));
+    const std::size_t lit_start = i + zeros;
+    const std::size_t lits = literal_run(
+        data, lit_start, std::min(data.size(), lit_start + kMaxRun));
+    emit(zeros, lit_start, lits);
     i = lit_start + lits;
   }
+}
+
+// Running encoded_size of one stream, fed a word's nonzero_bytes() mask at
+// a time -- no branch on the data, so it costs the same on any page. Exact
+// while no run can reach kMaxRun.
+struct SizeCount {
+  std::size_t size = 0;
+  std::uint64_t carry = 0;  // 0x80 when the previous byte was non-zero
+
+  void add(std::uint64_t mask) {
+    // Each non-zero run opens a record (4 header bytes) and every non-zero
+    // byte is one literal. Per byte that is 4 where a run starts plus 1
+    // where a literal sits -- at most 5 -- and the multiply sums the eight
+    // bytes into the top one.
+    const std::uint64_t starts = mask & ~((mask << 8) | carry);
+    size += static_cast<std::size_t>(
+        (((starts >> 5) + (mask >> 7)) * 0x0101010101010101ULL) >> 56);
+    carry = mask >> 56;
+  }
+  // A trailing zero run closes the last record.
+  [[nodiscard]] std::size_t total(std::byte last) const {
+    return size + (last == std::byte{0} ? 4 : 0);
+  }
+};
+
+}  // namespace
+
+std::size_t encoded_size(std::span<const std::byte> data) {
+  std::size_t size = 0;
+  if (data.size() > kMaxRun) {
+    for_each_record(data,
+                    [&size](std::size_t, std::size_t, std::size_t lits) {
+                      size += 4 + lits;
+                    });
+    return size;
+  }
+  if (data.empty()) return 0;
+  SizeCount count;
+  std::size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    count.add(nonzero_bytes(load_word(data.data() + i)));
+  }
+  if (i < data.size()) {
+    // Zero padding adds neither run starts nor literals.
+    std::uint64_t word = 0;
+    std::memcpy(&word, data.data() + i, data.size() - i);
+    count.add(nonzero_bytes(word));
+  }
+  return count.total(data.back());
+}
+
+void encode_to(std::span<const std::byte> data, std::span<std::byte> out) {
+  std::size_t pos = 0;
+  for_each_record(data, [&](std::size_t zeros, std::size_t lit_start,
+                            std::size_t lits) {
+    if (pos + 4 + lits > out.size()) {
+      throw std::length_error("rle::encode_to: output buffer too small");
+    }
+    const auto header = static_cast<std::uint32_t>(zeros | (lits << 16));
+    std::memcpy(out.data() + pos, &header, sizeof header);
+    if (lits > 0) {
+      std::memcpy(out.data() + pos + 4, data.data() + lit_start, lits);
+    }
+    pos += 4 + lits;
+  });
+  if (pos != out.size()) {
+    throw std::length_error("rle::encode_to: output buffer too large");
+  }
+}
+
+std::vector<std::byte> encode(std::span<const std::byte> data) {
+  std::vector<std::byte> out(encoded_size(data));
+  encode_to(data, out);
   return out;
+}
+
+DeltaSizes size_with_delta(std::span<const std::byte> data,
+                           std::span<const std::byte> base,
+                           std::span<std::byte> delta) {
+  const std::size_t len = data.size();
+  if (base.size() != len || delta.size() != len || len % 8 != 0 ||
+      len > kMaxRun) {
+    throw std::invalid_argument("rle::size_with_delta: bad span lengths");
+  }
+  SizeCount raw;
+  SizeCount xored;
+  for (std::size_t i = 0; i < len; i += 8) {
+    const std::uint64_t word = load_word(data.data() + i);
+    const std::uint64_t diff = word ^ load_word(base.data() + i);
+    std::memcpy(delta.data() + i, &diff, sizeof diff);
+    raw.add(nonzero_bytes(word));
+    xored.add(nonzero_bytes(diff));
+  }
+  if (len == 0) return {};
+  return {raw.total(data.back()), xored.total(delta.back())};
 }
 
 bool decode(std::span<const std::byte> encoded, std::span<std::byte> out) {

@@ -165,14 +165,40 @@ class CompressedSocketTransport final : public Transport {
   std::uint64_t wire_bytes_ = 0;
 };
 
-// Shared by the transport and its tests.
+// The zero-run codec shared by the compressed transport, the checkpoint
+// store and the journal. The encoder finds run boundaries a word at a
+// time; its output is fixed by the format alone.
 namespace rle {
-// Encodes `data` as (zero_run, literal_len, literals)* records.
+// Longest run one record's u16 fields can carry.
+inline constexpr std::size_t kMaxRun = 0xFFFF;
+
+// Exact byte count of encode(data).
+[[nodiscard]] std::size_t encoded_size(std::span<const std::byte> data);
+// Encodes `data` as (zero_run, literal_len, literals)* records into `out`,
+// which must be exactly encoded_size(data) bytes (std::length_error
+// otherwise).
+void encode_to(std::span<const std::byte> data, std::span<std::byte> out);
+// The same encoding in an exactly sized buffer.
 [[nodiscard]] std::vector<std::byte> encode(std::span<const std::byte> data);
 // Decodes into exactly `out.size()` bytes; returns false on malformed
 // input.
 [[nodiscard]] bool decode(std::span<const std::byte> encoded,
                           std::span<std::byte> out);
+
+// One word-wise sweep over `data` and `base` that writes data ^ base into
+// `delta` and returns encoded_size of both `data` and the delta -- what a
+// caller choosing between a raw and an XOR-delta encoding needs before it
+// encodes the winner. All three spans have one length, a multiple of 8 and
+// at most kMaxRun (a page): no run that short hits a record cap, so each
+// size is 4 bytes per record plus one per non-zero byte. Throws
+// std::invalid_argument otherwise.
+struct DeltaSizes {
+  std::size_t raw = 0;
+  std::size_t delta = 0;
+};
+[[nodiscard]] DeltaSizes size_with_delta(std::span<const std::byte> data,
+                                         std::span<const std::byte> base,
+                                         std::span<std::byte> delta);
 }  // namespace rle
 
 }  // namespace crimes

@@ -127,8 +127,11 @@ struct CostModel {
   Nanos disk_write_per_page = micros(130);
 
   // --- Resilience layer (fault-injection extension, DESIGN.md section 9).
-  // Verifying the backup after a copy: FNV-1a sweep of one 4 KiB page
-  // (~20 GB/s), paid twice per dirty page (primary + backup side).
+  // Verifying the backup after a copy: one digest sweep of a 4 KiB page
+  // (~20 GB/s), paid twice per dirty page (primary + backup side). Like
+  // every constant here it prices the modeled host's sweep, not this
+  // repo's code (the word-wise hash128 in common/hash.h), so making the
+  // code faster leaves every virtual result unchanged.
   Nanos checksum_per_page = nanos(180);
   // Exponential backoff before checkpoint copy retry k: base << k. The
   // base approximates re-arming the Remus transport after an aborted
@@ -142,11 +145,11 @@ struct CostModel {
   // --- Checkpoint store (multi-generation snapshot history, DESIGN.md
   // section 10). All store work runs after resume -- off the
   // pause-critical path -- but is still charged to the clock.
-  // Digesting one 4 KiB page: the same FNV-1a sweep the resilience
+  // Digesting one 4 KiB page: the same hash128 sweep the resilience
   // layer's backup verification pays (checksum_per_page).
   Nanos store_hash_per_page = nanos(180);
-  // Interning one *new* page: XOR against the previous version, RLE-encode
-  // both candidates, keep the smaller (roughly the compressed transport's
+  // Interning one *new* page: XOR against the previous version, size both
+  // RLE candidates, encode the smaller (roughly the compressed transport's
   // per-page CPU, minus the wire side).
   Nanos store_encode_per_page = nanos(900);
   // Restoring one page from the store: decode (raw, or base + delta) plus
@@ -197,9 +200,9 @@ struct CostModel {
   // handler copies the old bytes aside, unprotect, re-enter. Off the
   // pause path but charged to the drain timeline.
   Nanos cow_first_touch_per_page = micros(3);
-  // Folding the per-page FNV-1a digest into the copy loop: the bytes are
-  // already in cache from the memcpy, so fusing costs a third of the
-  // standalone checksum_per_page sweep.
+  // Folding the per-page digest into the copy loop (copy_and_hash): the
+  // bytes are already in registers from the copy, so fusing costs a third
+  // of the standalone checksum_per_page sweep.
   Nanos cow_fused_hash_per_page = nanos(60);
 
   // --- Observability layer (DESIGN.md section 13). The flight recorder
@@ -245,8 +248,8 @@ struct CostModel {
   // copy (half the standalone checksum sweep: one mix64 per word, bytes
   // already resident).
   Nanos crypto_seal_per_page = nanos(90);
-  // Keyed FNV MAC fold over one sealed record (tag derivation + length
-  // finalization on top of the byte sweep already fused above).
+  // Keyed MAC word fold over one sealed record (tag derivation + length
+  // finalization on top of the sweep already fused above).
   Nanos crypto_mac_per_record = nanos(40);
   // Materialize-side verification: MAC recompute plus the unseal XOR
   // pass over one payload.

@@ -47,11 +47,12 @@ void PageSealer::cipher(std::span<std::byte> payload,
 
 std::uint64_t PageSealer::mac(std::span<const std::byte> sealed,
                               std::uint64_t tweak) const {
-  // Encrypt-then-MAC: a keyed FNV-1a fold over the ciphertext, seeded
-  // from (key, tweak) and finalized with the length, so flips, moves
-  // (wrong tweak), and truncations (wrong length) all miss the tag.
+  // Encrypt-then-MAC: a keyed word fold over the ciphertext -- hash128's
+  // four lanes, seeded from (key, tweak) -- finalized with the length, so
+  // flips, moves (wrong tweak), and truncations (wrong length) all miss
+  // the tag.
   const std::uint64_t seed = mix64(key_ ^ kMacSalt ^ mix64(tweak));
-  const std::uint64_t body = fnv1a(sealed, seed);
+  const std::uint64_t body = hash128(sealed, seed).lo;
   return mix64(body ^ mix64(static_cast<std::uint64_t>(sealed.size())));
 }
 

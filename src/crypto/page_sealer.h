@@ -13,9 +13,10 @@
 //
 // Zero-dependency and deterministic like the rest of the repo: the
 // keystream is the SplitMix64 finalizer over (tenant key, tweak, word
-// index), the MAC is a keyed FNV-1a fold with the length bound in. This
-// is a simulator-grade construction -- the point is the *architecture*
-// (where sealing, MACs, and verification sit) -- not a production AEAD.
+// index), the MAC is a keyed word fold (common/hash.h's hash128, seeded
+// from key and tweak) with the length bound in. This is a
+// simulator-grade construction -- the point is the *architecture* (where
+// sealing, MACs, and verification sit) -- not a production AEAD.
 #pragma once
 
 #include <cstddef>

@@ -12,10 +12,10 @@ namespace {
 
 // The text region spans 64 pages (GuestLayout::kernel_text_pages); walk it
 // page by page through VMI.
-std::uint64_t hash_text_page(VmiSession& vmi, Vaddr page_va) {
+Hash128 hash_text_page(VmiSession& vmi, Vaddr page_va) {
   std::vector<std::byte> buf(kPageSize);
   vmi.read_bytes(page_va, buf);
-  return fnv1a(buf);
+  return hash128(buf);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // inline-hook rootkits that patch handler code rather than pointer tables.
 #pragma once
 
-#include "common/hash.h"  // fnv1a -- shared with tests
+#include "common/hash.h"
 #include "detect/detector.h"
 
 #include <cstdint>
@@ -26,7 +26,7 @@ class KernelTextIntegrityModule final : public ScanModule {
   [[nodiscard]] std::uint64_t pages_rehashed() const { return rehashed_; }
 
  private:
-  std::vector<std::uint64_t> baseline_;  // one hash per text page
+  std::vector<Hash128> baseline_;  // one hash per text page
   std::vector<Pfn> text_pfns_;
   Vaddr text_base_{0};
   std::uint64_t rehashed_ = 0;

@@ -116,7 +116,7 @@ Replicator::SendResult Replicator::on_commit(std::uint64_t generation,
       leaf.epoch = generation;
       leaf.vcpu_digest = crypto::pod_digest(standby_->vcpu());
       for (const Pfn pfn : dirty) {
-        leaf.fold_page(pfn.raw, store::page_digest(dst.peek(pfn)));
+        leaf.fold_page(pfn.raw, store::page_digest(dst.peek(pfn)).lo);
       }
       result.verify_cost = costs_->store_hash_per_page * dirty.size() +
                            costs_->crypto_leaf_extend +

@@ -24,6 +24,12 @@ constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
 static_assert(std::is_trivially_copyable_v<VcpuState>,
               "VcpuState is serialized by memcpy");
 
+// The unkeyed framing checksum over a record's header and payload (the
+// writer, the reader and the adversary's fix-up all call this).
+std::uint64_t frame_checksum(std::span<const std::byte> frame) {
+  return hash128(frame).lo;
+}
+
 void put_bytes(std::vector<std::byte>& out, const void* src, std::size_t n) {
   if (n == 0) return;  // empty payloads carry a null data() — UB for memcpy
   const std::size_t at = out.size();
@@ -125,7 +131,7 @@ Nanos StoreJournal::append_record(RecordType type,
   put_u64(record, seq_);
   put_u32(record, static_cast<std::uint32_t>(payload.size()));
   put_bytes(record, payload.data(), payload.size());
-  put_u64(record, fnv1a(std::span<const std::byte>(record)));
+  put_u64(record, frame_checksum(record));
 
   // Adversarial ciphertext rewrite (JournalBlockTamper): a device-level
   // adversary flips one payload byte just below the carried root and
@@ -139,7 +145,7 @@ Nanos StoreJournal::append_record(RecordType type,
       payload.size() > kChecksumBytes && faults_->tampers_journal()) {
     record[kHeaderBytes + payload.size() - sizeof(std::uint64_t) - 1] ^=
         std::byte{0x20};
-    const std::uint64_t fixed = fnv1a(std::span<const std::byte>(
+    const std::uint64_t fixed = frame_checksum(std::span<const std::byte>(
         record.data(), kHeaderBytes + payload.size()));
     std::memcpy(record.data() + kHeaderBytes + payload.size(), &fixed,
                 sizeof fixed);
@@ -286,8 +292,8 @@ struct RecordWalk {
     reader.off += payload_len;
     std::uint64_t stored = 0;
     (void)reader.u64(stored);
-    const std::uint64_t computed = fnv1a(
-        device.subspan(off, kHeaderBytes + payload_len));
+    const std::uint64_t computed =
+        frame_checksum(device.subspan(off, kHeaderBytes + payload_len));
     if (stored != computed) {
       error = "checksum mismatch";
       return false;
@@ -328,7 +334,7 @@ bool recompute_leaf(std::span<const std::byte> payload,
       return false;
     }
     reader.off += encoded_len;
-    leaf.fold_page(pfn, store::page_digest(scratch));
+    leaf.fold_page(pfn, store::page_digest(scratch).lo);
   }
   return reader.u64(carried);
 }

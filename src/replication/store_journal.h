@@ -14,7 +14,7 @@
 // Record framing, all fields little-endian:
 //
 //   u32 magic 'CRJL' | u8 type | u64 seq | u32 payload_len
-//   | payload | u64 fnv1a(everything above)
+//   | payload | u64 checksum: hash128(everything above).lo
 //
 // The per-record checksum is what makes torn tails detectable: a crash (or
 // an injected JournalTornWrite) leaves a prefix of a record on the device;

@@ -27,7 +27,7 @@ crypto::AttestationLeaf frozen_leaf(const Generation& gen) {
 
 Nanos CheckpointStore::hash_pages(std::span<const Pfn> dirty,
                                   const ForeignMapping& image,
-                                  std::vector<std::uint64_t>& digests_out,
+                                  std::vector<Hash128>& digests_out,
                                   ThreadPool* pool) const {
   digests_out.resize(dirty.size());
   if (config_.parallel_hash && pool != nullptr && dirty.size() > 1) {
@@ -99,44 +99,14 @@ Nanos CheckpointStore::append(std::uint64_t epoch, std::span<const Pfn> dirty,
   if (chain_.empty()) {
     throw std::logic_error("CheckpointStore::append: seed() not called");
   }
-  std::vector<std::uint64_t> digests;
-  Nanos cost = hash_pages(dirty, image, digests, pool);
-
-  const std::size_t newest = chain_.size() - 1;
-  Generation gen;
-  gen.epoch = epoch;
-  gen.taken_at = now;
-  gen.vcpu = vcpu;
-  gen.changed.reserve(dirty.size());
-  std::size_t encoded = 0;
-  const std::uint64_t sealed_before = pages_.stats().pages_sealed;
-  crypto::AttestationLeaf fold;
-  for (std::size_t i = 0; i < dirty.size(); ++i) {
-    const Pfn pfn = dirty[i];
-    // The leaf folds the *full* dirty list -- including pages rewritten
-    // identically -- because that is the sequence the journal record
-    // carries and the standby applies; `changed` is a local optimization
-    // the other recomputation sites never see.
-    fold.fold_page(pfn.raw, digests[i]);
-    const std::uint64_t prev = chain_.digest_at(newest, pfn);
-    if (digests[i] == prev) continue;  // dirtied but rewritten identically
-    const std::uint64_t before = pages_.stats().dedup_hits;
-    pages_.intern(image.peek(pfn), digests[i], prev);
-    if (pages_.stats().dedup_hits == before) ++encoded;  // new unique page
-    gen.changed.emplace_back(pfn, digests[i]);
-  }
-  Nanos crypto_cost = extend_attestation(gen, fold.pages_digest);
-  crypto_cost += (costs_->crypto_seal_per_page + costs_->crypto_mac_per_record) *
-                 (pages_.stats().pages_sealed - sealed_before);
-  last_seal_cost_ = crypto_cost;
-  chain_.append(std::move(gen));
-  maybe_inject_tamper();
-  return cost + costs_->store_encode_per_page * encoded + crypto_cost;
+  std::vector<Hash128> digests;
+  const Nanos cost = hash_pages(dirty, image, digests, pool);
+  return cost + append_with_digests(epoch, dirty, digests, image, vcpu, now);
 }
 
 Nanos CheckpointStore::append_with_digests(
     std::uint64_t epoch, std::span<const Pfn> dirty,
-    std::span<const std::uint64_t> digests, ForeignMapping& image,
+    std::span<const Hash128> digests, ForeignMapping& image,
     const VcpuState& vcpu, Nanos now) {
   if (chain_.empty()) {
     throw std::logic_error(
@@ -157,13 +127,18 @@ Nanos CheckpointStore::append_with_digests(
   crypto::AttestationLeaf fold;
   for (std::size_t i = 0; i < dirty.size(); ++i) {
     const Pfn pfn = dirty[i];
-    fold.fold_page(pfn.raw, digests[i]);  // full dirty list, commit order
+    const std::uint64_t key = digests[i].lo;
+    // The leaf folds the *full* dirty list -- including pages rewritten
+    // identically -- because that is the sequence the journal record
+    // carries and the standby applies; `changed` is a local optimization
+    // the other recomputation sites never see.
+    fold.fold_page(pfn.raw, key);
     const std::uint64_t prev = chain_.digest_at(newest, pfn);
-    if (digests[i] == prev) continue;
+    if (key == prev) continue;  // dirtied but rewritten identically
     const std::uint64_t before = pages_.stats().dedup_hits;
     pages_.intern(image.peek(pfn), digests[i], prev);
-    if (pages_.stats().dedup_hits == before) ++encoded;
-    gen.changed.emplace_back(pfn, digests[i]);
+    if (pages_.stats().dedup_hits == before) ++encoded;  // new unique page
+    gen.changed.emplace_back(pfn, key);
   }
   Nanos crypto_cost = extend_attestation(gen, fold.pages_digest);
   crypto_cost += (costs_->crypto_seal_per_page + costs_->crypto_mac_per_record) *

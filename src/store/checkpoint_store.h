@@ -93,11 +93,12 @@ class CheckpointStore {
                ThreadPool* pool);
 
   // Append with precomputed digests (digests[i] is page_digest() of
-  // image's dirty[i] page): the CoW drain folds the FNV-1a sweep into its
-  // copy loop, so this path skips the hash pass entirely -- its cost was
-  // already charged as cow_fused_hash_per_page on the drain timeline.
+  // image's dirty[i] page, both halves): the CoW drain folds the hash128
+  // sweep into its copy loop, so this path skips the hash pass entirely --
+  // its cost was already charged as cow_fused_hash_per_page on the drain
+  // timeline. append() is hash_pages followed by this.
   Nanos append_with_digests(std::uint64_t epoch, std::span<const Pfn> dirty,
-                            std::span<const std::uint64_t> digests,
+                            std::span<const Hash128> digests,
                             ForeignMapping& image, const VcpuState& vcpu,
                             Nanos now);
 
@@ -191,8 +192,7 @@ class CheckpointStore {
 
  private:
   Nanos hash_pages(std::span<const Pfn> dirty, const ForeignMapping& image,
-                   std::vector<std::uint64_t>& digests_out,
-                   ThreadPool* pool) const;
+                   std::vector<Hash128>& digests_out, ThreadPool* pool) const;
 
   // Freezes the commit-time leaf into `gen` -- `pages_digest` is the
   // caller's fold over the *full* dirty digest list, in commit order

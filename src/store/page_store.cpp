@@ -1,55 +1,41 @@
 #include "store/page_store.h"
 
 #include "checkpoint/transport.h"  // crimes::rle -- the shared codec
-#include "common/hash.h"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace crimes::store {
 
-namespace {
-
-// Secondary hash for collision detection: same fold, different seed, so
-// two contents colliding on both is no longer a birthday problem but a
-// 128-bit accident.
-std::uint64_t check_digest(const Page& page) {
-  return fnv1a(page.bytes(), /*seed=*/0x9E3779B97F4A7C15ULL);
-}
-
-}  // namespace
-
-std::uint64_t page_digest(const Page& page) {
-  const std::uint64_t h = fnv1a(page.bytes());
-  // kZeroDigest is the manifest's "zero page" sentinel; remap the (absurdly
-  // unlikely) real page hashing to it onto an arbitrary fixed value.
-  return h == kZeroDigest ? 0x9E3779B97F4A7C15ULL : h;
-}
-
-std::uint64_t PageStore::intern(const Page& page, std::uint64_t digest,
+std::uint64_t PageStore::intern(const Page& page, Hash128 digest,
                                 std::uint64_t prev_digest) {
+  const std::uint64_t key = digest.lo;
+  const auto it = entries_.find(key);
+  if (it != entries_.end() && it->second.check != digest.hi) {
+    // A genuine 64-bit key collision. Refusing loudly beats silently
+    // deduplicating two different pages into one.
+    throw std::runtime_error("PageStore: page digest collision");
+  }
   ++stats_.interns;
-  if (auto it = entries_.find(digest); it != entries_.end()) {
-    if (it->second.check != check_digest(page)) {
-      // A genuine 64-bit digest collision. Refusing loudly beats silently
-      // deduplicating two different pages into one.
-      throw std::runtime_error("PageStore: FNV-1a digest collision");
-    }
+  if (it != entries_.end()) {
     ++it->second.refs;
     ++stats_.dedup_hits;
-    return digest;
+    return key;
   }
 
   Entry entry;
   entry.refs = 1;
-  entry.check = check_digest(page);
-  entry.payload = rle::encode(page.bytes());
+  entry.check = digest.hi;
 
-  // Delta candidate: XOR against the previous version of this PFN and keep
-  // whichever encoding is smaller. Only raw entries may serve as bases
-  // (depth-1 chains), and the base must still be live.
-  if (delta_compress_ && prev_digest != kZeroDigest &&
-      prev_digest != digest) {
+  // Delta candidate: the XOR against the previous version of this PFN,
+  // kept when its encoding is strictly smaller. Only raw entries may serve
+  // as bases (depth-1 chains), and the base must still be live. Both
+  // candidates are sized in one sweep; only the winner is encoded.
+  std::span<const std::byte> winner = page.bytes();
+  std::size_t winner_size = 0;  // 0 = not sized yet: a page encodes to >= 4
+  Page delta;
+  if (delta_compress_ && prev_digest != kZeroDigest && prev_digest != key) {
     if (auto base = entries_.find(prev_digest);
         base != entries_.end() && base->second.base == kZeroDigest) {
       Page prev;
@@ -64,34 +50,36 @@ std::uint64_t PageStore::intern(const Page& page, std::uint64_t digest,
         base_intact = false;
       }
       if (base_intact) {
-        Page delta;
-        for (std::size_t i = 0; i < kPageSize; ++i) {
-          delta.data[i] = page.data[i] ^ prev.data[i];
-        }
-        std::vector<std::byte> delta_rle = rle::encode(delta.bytes());
-        if (delta_rle.size() < entry.payload.size()) {
+        const rle::DeltaSizes sizes =
+            rle::size_with_delta(page.bytes(), prev.bytes(), delta.bytes());
+        winner_size = sizes.raw;
+        if (sizes.delta < sizes.raw) {
+          winner = delta.bytes();
+          winner_size = sizes.delta;
           entry.base = prev_digest;
-          entry.payload = std::move(delta_rle);
           ++base->second.refs;  // the delta pins its base
           ++stats_.delta_entries;
         }
       }
     }
   }
+  if (winner_size == 0) winner_size = rle::encoded_size(winner);
+  entry.payload.resize(winner_size);
+  rle::encode_to(winner, entry.payload);
 
   // Seal last: the delta candidate above needed plaintext payloads, and
-  // the tweak is the entry's own digest, so a sealed payload moved to a
-  // different digest slot deciphers under the wrong keystream and its
-  // MAC misses (SEVurity's block-move attack, detected not decoded).
+  // the tweak is the entry's own key, so a sealed payload moved to a
+  // different slot deciphers under the wrong keystream and its MAC misses
+  // (SEVurity's block-move attack, detected not decoded).
   if (sealer_ != nullptr) {
-    entry.mac = sealer_->seal(entry.payload, digest);
+    entry.mac = sealer_->seal(entry.payload, key);
     ++stats_.pages_sealed;
   }
 
   stats_.bytes_physical += entry.payload.size() + kEntryOverhead;
   ++stats_.pages_unique;
-  entries_.emplace(digest, std::move(entry));
-  return digest;
+  entries_.emplace(key, std::move(entry));
+  return key;
 }
 
 void PageStore::release(std::uint64_t digest) {
@@ -165,13 +153,23 @@ std::vector<std::uint64_t> PageStore::sorted_digests() const {
 std::vector<std::uint64_t> PageStore::verify_seals() const {
   std::vector<std::uint64_t> bad;
   if (sealer_ == nullptr) return bad;
-  for (const std::uint64_t digest : sorted_digests()) {
-    const Entry& entry = entries_.at(digest);
+  // The sweep waits on cache misses into scattered payloads, not on the
+  // MAC: request each payload a few entries before its MAC reads it.
+  constexpr std::size_t kPrefetchAhead = 4;
+  auto ahead = std::next(entries_.begin(),
+                         static_cast<std::ptrdiff_t>(std::min(
+                             kPrefetchAhead, entries_.size())));
+  for (const auto& [digest, entry] : entries_) {
+    if (ahead != entries_.end()) {
+      __builtin_prefetch(ahead->second.payload.data());
+      ++ahead;
+    }
     if (sealer_->mac(entry.payload, digest) != entry.mac) {
       bad.push_back(digest);
-      ++stats_.seal_failures;
     }
   }
+  stats_.seal_failures += bad.size();
+  std::sort(bad.begin(), bad.end());
   return bad;
 }
 

@@ -1,19 +1,21 @@
 // Content-addressed page storage for the checkpoint store.
 //
-// Every distinct page content is stored once, keyed by its 64-bit FNV-1a
-// digest, with a reference count of how many generation manifests point at
-// it. Payloads are never raw 4 KiB frames: a page is kept either as the
-// RLE encoding of its bytes or -- when smaller -- as the RLE encoding of
-// its XOR delta against the previous version of the same PFN (the same
-// codec CompressedSocketTransport puts on the wire). Delta chains are
-// capped at depth 1: a delta's base is always a raw entry, so restoring
-// any page decodes at most two payloads.
+// Every distinct page content is stored once, keyed by the low half of its
+// 128-bit page digest (one hash128 pass; the high half is the entry's
+// collision check), with a reference count of how many generation
+// manifests point at it. Payloads are never raw 4 KiB frames: a page is
+// kept either as the RLE encoding of its bytes or -- when smaller -- as
+// the RLE encoding of its XOR delta against the previous version of the
+// same PFN (the same codec CompressedSocketTransport puts on the wire),
+// sized exactly. Delta chains are capped at depth 1: a delta's base is
+// always a raw entry, so restoring any page decodes at most two payloads.
 //
 // Digest 0 is reserved as the "zero / never-backed page" sentinel and is
-// never produced by page_digest(); generation manifests use it instead of
-// interning the shared zero frame.
+// never produced as a key by page_digest(); generation manifests use it
+// instead of interning the shared zero frame.
 #pragma once
 
+#include "common/hash.h"
 #include "crypto/page_sealer.h"
 #include "machine/page.h"
 
@@ -27,8 +29,19 @@ namespace crimes::store {
 // Manifest sentinel: the page is all zeroes (or was never backed).
 inline constexpr std::uint64_t kZeroDigest = 0;
 
-// FNV-1a over the page bytes, remapped away from the reserved sentinel.
-[[nodiscard]] std::uint64_t page_digest(const Page& page);
+// A page's digest from one hash128 pass: `lo` is its key (manifests, the
+// entry map, the attestation fold) and `hi` its collision check. Callers
+// that hash while they copy (the CoW drain) key the result with
+// as_page_digest; page_digest does the same for a page at rest.
+[[nodiscard]] constexpr Hash128 as_page_digest(Hash128 h) {
+  // Remap the (absurdly unlikely) key that lands on the sentinel onto an
+  // arbitrary fixed value.
+  if (h.lo == kZeroDigest) h.lo = 0x9E3779B97F4A7C15ULL;
+  return h;
+}
+[[nodiscard]] inline Hash128 page_digest(const Page& page) {
+  return as_page_digest(hash128(page.bytes()));
+}
 
 struct PageStoreStats {
   std::size_t pages_unique = 0;      // live entries
@@ -38,6 +51,9 @@ struct PageStoreStats {
   std::uint64_t delta_entries = 0;   // live entries stored as XOR deltas
   std::uint64_t pages_sealed = 0;    // payloads sealed at intern, lifetime
   std::uint64_t seal_failures = 0;   // MAC mismatches detected, lifetime
+
+  friend bool operator==(const PageStoreStats&,
+                         const PageStoreStats&) = default;
 };
 
 // Adversarial corruption modes (SEVurity, DESIGN.md section 15) the
@@ -53,11 +69,13 @@ class PageStore {
   explicit PageStore(bool delta_compress) : delta_compress_(delta_compress) {}
 
   // Stores `page` (whose digest the caller computed via page_digest) and
-  // returns the digest with one reference held by the caller. When
-  // `prev_digest` names a live raw entry -- the previous version of the
-  // same PFN -- the page may be stored as an XOR delta against it, in
-  // which case the entry holds its own reference on the base.
-  std::uint64_t intern(const Page& page, std::uint64_t digest,
+  // returns its key, digest.lo, with one reference held by the caller.
+  // When `prev_digest` names a live raw entry -- the previous version of
+  // the same PFN -- the page may be stored as an XOR delta against it, in
+  // which case the entry holds its own reference on the base. Throws
+  // std::runtime_error, changing nothing, when a live entry has the same
+  // key but a different check half (a genuine 64-bit collision).
+  std::uint64_t intern(const Page& page, Hash128 digest,
                        std::uint64_t prev_digest = kZeroDigest);
 
   // Drops one reference; at zero the entry is freed (cascading to its
@@ -79,8 +97,9 @@ class PageStore {
   [[nodiscard]] bool sealed() const { return sealer_ != nullptr; }
 
   // Integrity sweep: recompute every live entry's MAC and return the
-  // digests that fail, sorted (deterministic evidence order). Empty when
-  // the sealer is unset. Also bumps stats().seal_failures.
+  // digests that fail, sorted (deterministic evidence order; only the
+  // failures are sorted). Empty when the sealer is unset. Also bumps
+  // stats().seal_failures.
   [[nodiscard]] std::vector<std::uint64_t> verify_seals() const;
 
   // Adversary hook for the fault layer: corrupt the sealed state at
@@ -104,15 +123,16 @@ class PageStore {
 
   struct Entry {
     std::uint32_t refs = 0;
-    std::uint64_t check = 0;  // secondary hash: detects digest collisions
+    std::uint64_t check = 0;  // digest.hi: detects key collisions
     std::uint64_t base = kZeroDigest;  // delta base (kZeroDigest = raw)
     std::uint64_t mac = 0;  // keyed tag over the sealed payload (sealer set)
-    std::vector<std::byte> payload;  // RLE of raw/XOR-delta bytes, sealed
+    std::vector<std::byte> payload;  // RLE of raw/XOR-delta bytes, sealed,
+                                     // exactly sized
   };
 
-  // Digests of the live entries in sorted order: the deterministic
-  // iteration the tamper hook and the verify sweep both use
-  // (unordered_map order would break same-seed reproducibility).
+  // Digests of the live entries in sorted order: the tamper hook's
+  // deterministic victim index (unordered_map order would break
+  // same-seed reproducibility).
   [[nodiscard]] std::vector<std::uint64_t> sorted_digests() const;
 
   bool delta_compress_;

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
+#include <vector>
 
 namespace crimes {
 namespace {
@@ -135,6 +137,106 @@ TEST(Fnv1a, SeedChainsBlocks) {
   // fold, which is how multi-block callers compose digests.
   EXPECT_EQ(fnv1a(std::string_view{"bar"}, fnv1a(std::string_view{"foo"})),
             fnv1a(std::string_view{"foobar"}));
+}
+
+// Bytes 0..n of the pattern the hash128 reference vectors are pinned on.
+std::vector<std::byte> hash_pattern(std::size_t n) {
+  std::vector<std::byte> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    bytes[i] = static_cast<std::byte>((i * 131 + 7) & 0xFF);
+  }
+  return bytes;
+}
+
+TEST(Hash128, ReferenceVectorsAtWordAndStripeBoundaries) {
+  // Pinned outputs: lengths straddle the 8-byte word, the 32-byte stripe
+  // and the page, under the default seed and one other.
+  struct Vector {
+    std::size_t len;
+    std::uint64_t lo;
+    std::uint64_t hi;
+  };
+  const std::vector<std::byte> bytes = hash_pattern(kPageSize);
+  const auto check = [&bytes](std::uint64_t seed,
+                              std::initializer_list<Vector> vectors) {
+    for (const Vector& v : vectors) {
+      const Hash128 h = hash128({bytes.data(), v.len}, seed);
+      EXPECT_EQ(h.lo, v.lo) << "seed " << seed << " len " << v.len;
+      EXPECT_EQ(h.hi, v.hi) << "seed " << seed << " len " << v.len;
+    }
+  };
+  check(0, {
+      {0, 0x0E17D8311C18F271ULL, 0x537D205DEF4CDFF3ULL},
+      {1, 0x5FAACA3B477224BEULL, 0xE18CFB976B77A15AULL},
+      {7, 0xC2BAA13E3FB95F61ULL, 0x04DC2D31047655D1ULL},
+      {8, 0xE44E308BD3C66793ULL, 0xB8A45CC84FE50C9BULL},
+      {31, 0x586A52918CEAF6D1ULL, 0xCD2CB31873C43D26ULL},
+      {32, 0xDE4E3B6985CAB740ULL, 0x90A68B94E810C954ULL},
+      {33, 0xB3C969B4603D8957ULL, 0xB37C082FD233EE11ULL},
+      {4095, 0x9A32BCB3A5DA4DFEULL, 0xC318424AA2939611ULL},
+      {4096, 0xDB4DDF01A6B4E60AULL, 0x94B313CE2C5BEFDBULL},
+  });
+  check(0x5EED, {
+      {0, 0x31F661DA06940661ULL, 0x2EE4092D6035C567ULL},
+      {1, 0x9F2FE4861E95E8F9ULL, 0x2D71C9B32B9F1ED8ULL},
+      {7, 0x6C81D77ED33A60FEULL, 0x2B1F6E2D9BCF0B5CULL},
+      {8, 0x70C5AFDDC5131E91ULL, 0x8F8B951CB8747267ULL},
+      {31, 0x74BF02B236869004ULL, 0xB6A925C72EC8D791ULL},
+      {32, 0x7792371982EC7EC2ULL, 0xB60DB89F62644B92ULL},
+      {33, 0x55A49DB4573965B1ULL, 0xB0BDB556531E1036ULL},
+      {4095, 0x205CC6BADB6CE343ULL, 0x062562955A48FE1BULL},
+      {4096, 0x200D11686DFE0C96ULL, 0x015C52F739804AFEULL},
+  });
+}
+
+TEST(Hash128, CopyAndHashMatchesUnfusedAndCopiesExactly) {
+  // The CoW drain's fused pass must produce the digest the store computes
+  // on its own, and the copy must be exact -- at every tail shape, from
+  // unaligned sources and into unaligned destinations.
+  const std::vector<std::byte> src = hash_pattern(kPageSize + 8);
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 80; ++len) lengths.push_back(len);
+  lengths.insert(lengths.end(), {511, kPageSize - 1, kPageSize});
+  const auto untouched = [](auto first, auto last) {
+    return std::all_of(first, last,
+                       [](std::byte b) { return b == std::byte{0xEE}; });
+  };
+  for (const std::size_t offset : {std::size_t{0}, std::size_t{3}}) {
+    for (const std::size_t len : lengths) {
+      std::vector<std::byte> dst(len + 16, std::byte{0xEE});
+      const std::byte* from = src.data() + offset;
+      const auto to = dst.begin() + static_cast<std::ptrdiff_t>(offset);
+      const Hash128 fused = copy_and_hash(&*to, from, len, 0x77);
+      EXPECT_EQ(fused, hash128({from, len}, 0x77))
+          << "len " << len << " offset " << offset;
+      EXPECT_TRUE(std::equal(from, from + len, to))
+          << "len " << len << " offset " << offset;
+      EXPECT_TRUE(untouched(dst.begin(), to)) << "wrote before dst";
+      EXPECT_TRUE(untouched(to + static_cast<std::ptrdiff_t>(len), dst.end()))
+          << "wrote past len " << len;
+    }
+  }
+}
+
+TEST(Hash128, SingleBitFlipChangesBothHalves) {
+  // The store keys on `lo` and checks `hi`: both must see every bit of a
+  // page, so no single-bit change can leave either half unchanged.
+  std::vector<std::byte> page = hash_pattern(kPageSize);
+  const Hash128 base = hash128(page);
+  for (std::size_t byte = 0; byte < kPageSize; ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      page[byte] ^= static_cast<std::byte>(1U << bit);
+      const Hash128 flipped = hash128(page);
+      page[byte] ^= static_cast<std::byte>(1U << bit);
+      ASSERT_NE(flipped.lo, base.lo) << "byte " << byte << " bit " << bit;
+      ASSERT_NE(flipped.hi, base.hi) << "byte " << byte << " bit " << bit;
+    }
+  }
+  // Appending a zero byte changes the length, hence the digest.
+  std::vector<std::byte> longer = page;
+  longer.push_back(std::byte{0});
+  EXPECT_NE(hash128(longer).lo, base.lo);
+  EXPECT_NE(hash128(longer).hi, base.hi);
 }
 
 TEST(CostModel, DerivedCostsScaleWithLoad) {

@@ -5,7 +5,6 @@
 // faults and torn writes, defensive barriers, and failover mid-drain.
 #include "checkpoint/checkpointer.h"
 #include "checkpoint/cow_checkpointer.h"
-#include "common/hash.h"
 #include "common/rng.h"
 #include "fault/fault_injector.h"
 #include "store/checkpoint_store.h"
@@ -347,25 +346,9 @@ TEST(CowCheckpoint, FusedDigestsMatchStoreDigests) {
     const auto& chain = cp.store()->chain();
     for (const Pfn pfn : result.dirty) {
       EXPECT_EQ(chain.digest_at(chain.size() - 1, pfn),
-                store::page_digest(cp.backup().page(pfn)))
+                store::page_digest(cp.backup().page(pfn)).lo)
           << "pfn " << pfn.value();
     }
-  }
-}
-
-TEST(CowCheckpoint, CopyAndFnv1aMatchesSeparatePasses) {
-  Rng rng(41);
-  std::vector<std::byte> src(kPageSize);
-  for (auto& b : src) b = std::byte{static_cast<unsigned char>(rng.next_u64())};
-  for (const std::size_t len :
-       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
-        std::size_t{9}, std::size_t{4095}, kPageSize}) {
-    std::vector<std::byte> dst(len, std::byte{0xFF});
-    const std::uint64_t fused =
-        copy_and_fnv1a(dst.data(), src.data(), len);
-    EXPECT_EQ(fused, fnv1a({src.data(), len})) << "len " << len;
-    EXPECT_TRUE(std::equal(dst.begin(), dst.end(), src.begin()))
-        << "len " << len;
   }
 }
 

@@ -125,12 +125,12 @@ TEST(CryptoSealer, MacReferenceVectorBindsBytesTweakAndLength) {
 
   const std::uint64_t seed = mix64(kKey ^ kMacSalt ^ mix64(tweak));
   const std::uint64_t expected =
-      mix64(fnv1a(std::span<const std::byte>(payload), seed) ^
+      mix64(hash128(std::span<const std::byte>(payload), seed).lo ^
             mix64(static_cast<std::uint64_t>(payload.size())));
   EXPECT_EQ(sealer.mac(payload, tweak), expected);
 
   // Truncation misses the tag even when the removed suffix is all zero:
-  // the length is folded in after the byte sweep.
+  // the length is folded in after the word fold.
   std::vector<std::byte> padded = payload;
   padded.push_back(std::byte{0});
   EXPECT_NE(sealer.mac(padded, tweak), sealer.mac(payload, tweak));

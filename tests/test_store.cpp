@@ -51,7 +51,7 @@ Page sparse_page(std::uint64_t tag) {
 TEST(PageDigest, ContentAddressedAndNeverTheSentinel) {
   Page zero;
   zero.zero();
-  EXPECT_NE(page_digest(zero), kZeroDigest)
+  EXPECT_NE(page_digest(zero).lo, kZeroDigest)
       << "the all-zero page must not collide with the reserved sentinel";
 
   Rng rng(1);
@@ -68,19 +68,20 @@ TEST(PageStoreTest, InternDedupsAndRefcounts) {
   PageStore pages(/*delta_compress=*/false);
   Rng rng(2);
   const Page page = random_page(rng);
-  const std::uint64_t digest = page_digest(page);
+  const Hash128 digest = page_digest(page);
+  const std::uint64_t key = digest.lo;
 
-  EXPECT_EQ(pages.intern(page, digest), digest);
-  EXPECT_EQ(pages.intern(page, digest), digest);
-  EXPECT_EQ(pages.refs(digest), 2u);
+  EXPECT_EQ(pages.intern(page, digest), key);
+  EXPECT_EQ(pages.intern(page, digest), key);
+  EXPECT_EQ(pages.refs(key), 2u);
   EXPECT_EQ(pages.stats().pages_unique, 1u);
   EXPECT_EQ(pages.stats().interns, 2u);
   EXPECT_EQ(pages.stats().dedup_hits, 1u);
 
-  pages.release(digest);
-  EXPECT_TRUE(pages.contains(digest));
-  pages.release(digest);
-  EXPECT_FALSE(pages.contains(digest));
+  pages.release(key);
+  EXPECT_TRUE(pages.contains(key));
+  pages.release(key);
+  EXPECT_FALSE(pages.contains(key));
   EXPECT_EQ(pages.stats().pages_unique, 0u);
   EXPECT_EQ(pages.stats().bytes_physical, 0u);
 }
@@ -103,6 +104,30 @@ TEST(PageStoreTest, MaterializeRoundTripsExactBytes) {
   pages.release(kZeroDigest);
 
   EXPECT_THROW(pages.materialize(0xDEAD, out), std::logic_error);
+}
+
+TEST(PageStoreTest, KeyCollisionThrowsAndChangesNothing) {
+  // A second page arriving under a live entry's key (digest.lo) with a
+  // different check half (digest.hi) is a genuine 64-bit collision: the
+  // store must refuse it rather than dedup two different pages into one.
+  PageStore pages(/*delta_compress=*/true);
+  Rng rng(4);
+  const Page first = random_page(rng);
+  const Page second = random_page(rng);
+  const Hash128 digest = page_digest(first);
+  const std::uint64_t key = pages.intern(first, digest);
+  const store::PageStoreStats before = pages.stats();
+
+  const Hash128 forged{key, page_digest(second).hi};
+  ASSERT_NE(forged.hi, digest.hi);
+  EXPECT_THROW((void)pages.intern(second, forged), std::runtime_error);
+  EXPECT_THROW((void)pages.intern(second, forged, key), std::runtime_error);
+
+  EXPECT_EQ(pages.refs(key), 1u);
+  EXPECT_EQ(pages.stats(), before);
+  Page out;
+  pages.materialize(key, out);
+  EXPECT_EQ(out, first) << "the resident entry must be untouched";
 }
 
 TEST(PageStoreTest, DeltaEntryRoundTripsAndPinsItsBase) {
@@ -201,8 +226,8 @@ TEST(GenerationChainTest, DigestAtWalksBackwardToTheNewestEntry) {
 
   const Page p11 = sparse_page(11);
   const Page p21 = sparse_page(21);
-  EXPECT_EQ(f.chain.digest_at(0, Pfn{1}), page_digest(p11));
-  EXPECT_EQ(f.chain.digest_at(2, Pfn{1}), page_digest(p21));
+  EXPECT_EQ(f.chain.digest_at(0, Pfn{1}), page_digest(p11).lo);
+  EXPECT_EQ(f.chain.digest_at(2, Pfn{1}), page_digest(p21).lo);
   EXPECT_EQ(f.chain.digest_at(2, Pfn{3}), kZeroDigest) << "never written";
 
   // diff(oldest, newest) = pfns 1 and 2 changed across the window.
@@ -241,12 +266,12 @@ TEST(GenerationChainTest, DropReleasesSupersededEntries) {
   ChainFixture f;
   f.commit(0, {{0, 10}});
   f.commit(1, {{0, 20}});  // overrides pfn 0
-  const std::uint64_t old_digest = page_digest(sparse_page(10));
+  const std::uint64_t old_digest = page_digest(sparse_page(10)).lo;
   ASSERT_TRUE(f.pages.contains(old_digest));
   (void)f.chain.drop(0, f.pages);
   EXPECT_FALSE(f.pages.contains(old_digest))
       << "the heir overrides pfn 0, so the dropped entry must be freed";
-  EXPECT_TRUE(f.pages.contains(page_digest(sparse_page(20))));
+  EXPECT_TRUE(f.pages.contains(page_digest(sparse_page(20)).lo));
 }
 
 TEST(GenerationChainTest, TruncateAfterReleasesNewerGenerations) {
@@ -258,9 +283,9 @@ TEST(GenerationChainTest, TruncateAfterReleasesNewerGenerations) {
   EXPECT_EQ(released, 2u);
   ASSERT_EQ(f.chain.size(), 1u);
   EXPECT_EQ(f.chain.newest().epoch, 0u);
-  EXPECT_TRUE(f.pages.contains(page_digest(sparse_page(10))));
-  EXPECT_FALSE(f.pages.contains(page_digest(sparse_page(20))));
-  EXPECT_FALSE(f.pages.contains(page_digest(sparse_page(30))));
+  EXPECT_TRUE(f.pages.contains(page_digest(sparse_page(10)).lo));
+  EXPECT_FALSE(f.pages.contains(page_digest(sparse_page(20)).lo));
+  EXPECT_FALSE(f.pages.contains(page_digest(sparse_page(30)).lo));
 }
 
 TEST(GenerationChainTest, AppendRequiresAscendingEpochs) {

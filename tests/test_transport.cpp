@@ -6,10 +6,15 @@
 #include "common/rng.h"
 #include "core/crimes.h"
 #include "fault/fault_plan.h"
+#include "store/page_store.h"
 #include "test_helpers.h"
 #include "workload/parsec.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <span>
+#include <vector>
 
 namespace crimes {
 namespace {
@@ -62,6 +67,161 @@ TEST(Rle, CompressesSparseDataAndRejectsGarbage) {
   lying[2] = std::byte{0xFF};
   lying[3] = std::byte{0xFF};
   EXPECT_FALSE(rle::decode(lying, out));
+}
+
+// The byte-serial encoder the word-at-a-time one replaced, kept as the
+// reference: the format fixes the output, so the two must agree byte for
+// byte on every input.
+std::vector<std::byte> reference_encode(std::span<const std::byte> data) {
+  std::vector<std::byte> out;
+  std::size_t i = 0;
+  while (i < data.size()) {
+    std::size_t zeros = 0;
+    while (i + zeros < data.size() && data[i + zeros] == std::byte{0} &&
+           zeros < 0xFFFF) {
+      ++zeros;
+    }
+    const std::size_t lit_start = i + zeros;
+    std::size_t lits = 0;
+    while (lit_start + lits < data.size() &&
+           data[lit_start + lits] != std::byte{0} && lits < 0xFFFF) {
+      ++lits;
+    }
+    out.push_back(static_cast<std::byte>(zeros & 0xFF));
+    out.push_back(static_cast<std::byte>(zeros >> 8));
+    out.push_back(static_cast<std::byte>(lits & 0xFF));
+    out.push_back(static_cast<std::byte>(lits >> 8));
+    out.insert(out.end(), data.begin() + static_cast<std::ptrdiff_t>(lit_start),
+               data.begin() + static_cast<std::ptrdiff_t>(lit_start + lits));
+    i = lit_start + lits;
+  }
+  return out;
+}
+
+// `len` bytes, each non-zero with probability percent/100.
+std::vector<std::byte> random_bytes(Rng& rng, std::size_t len,
+                                    std::uint64_t percent) {
+  std::vector<std::byte> out(len, std::byte{0});
+  for (auto& b : out) {
+    if (rng.next_u64() % 100 < percent) {
+      b = static_cast<std::byte>(1 + rng.next_u64() % 255);
+    }
+  }
+  return out;
+}
+
+TEST(Rle, WordwiseEncoderMatchesByteSerialReference) {
+  Rng rng(11);
+  std::vector<std::vector<std::byte>> inputs;
+  // Short and ragged lengths: every tail shape of the word loop.
+  for (std::size_t len = 0; len <= 72; ++len) {
+    inputs.push_back(random_bytes(rng, len, 50));
+  }
+  // Random and sparse pages, and lengths that are not a multiple of 8.
+  for (const std::uint64_t percent : {0, 1, 5, 30, 70, 95, 99, 100}) {
+    for (const std::size_t len : {kPageSize, kPageSize - 3, std::size_t{1001}}) {
+      inputs.push_back(random_bytes(rng, len, percent));
+    }
+  }
+  // A zero run (and, on the inverse input, a literal run) of every length
+  // up to 20 at every offset within two words.
+  for (std::size_t at = 0; at < 16; ++at) {
+    for (std::size_t run = 0; run <= 20; ++run) {
+      std::vector<std::byte> hole(48, std::byte{0x5A});
+      std::vector<std::byte> island(48, std::byte{0});
+      for (std::size_t i = at; i < at + run; ++i) {
+        hole[i] = std::byte{0};
+        island[i] = std::byte{0xA5};
+      }
+      inputs.push_back(std::move(hole));
+      inputs.push_back(std::move(island));
+    }
+  }
+  // Over 64 KiB: zero and literal runs past the u16 record caps, ending
+  // exactly on, just past, and inside a cap.
+  for (const std::size_t len : {std::size_t{0xFFFF}, std::size_t{0x10000},
+                                std::size_t{0x1FFFE}, std::size_t{200003}}) {
+    inputs.emplace_back(len, std::byte{0});
+    inputs.emplace_back(len, std::byte{0x33});
+    std::vector<std::byte> mixed(len, std::byte{0});
+    for (std::size_t i = len / 3; i < len; ++i) mixed[i] = std::byte{0x77};
+    inputs.push_back(std::move(mixed));
+  }
+
+  for (const std::vector<std::byte>& data : inputs) {
+    const std::vector<std::byte> expected = reference_encode(data);
+    const std::vector<std::byte> encoded = rle::encode(data);
+    ASSERT_EQ(encoded, expected) << "length " << data.size();
+    EXPECT_EQ(encoded.capacity(), encoded.size()) << "exactly sized";
+    EXPECT_EQ(rle::encoded_size(data), expected.size());
+    std::vector<std::byte> decoded(data.size(), std::byte{0xCC});
+    ASSERT_TRUE(rle::decode(encoded, decoded));
+    EXPECT_EQ(decoded, data);
+  }
+
+  // encode_to insists on an exactly sized buffer.
+  const std::vector<std::byte> page = random_bytes(rng, kPageSize, 30);
+  std::vector<std::byte> small(rle::encoded_size(page) - 1);
+  std::vector<std::byte> large(rle::encoded_size(page) + 1);
+  EXPECT_THROW(rle::encode_to(page, small), std::length_error);
+  EXPECT_THROW(rle::encode_to(page, large), std::length_error);
+}
+
+TEST(Rle, OnePassDeltaSizingPicksTheSameEncoding) {
+  // PageStore::intern sizes the raw page and its XOR delta in one sweep
+  // and encodes only the winner; that choice must be the one encoding
+  // both candidates and comparing would make.
+  Rng rng(12);
+  std::size_t deltas_won = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::uint64_t percent = rng.next_u64() % 101;
+    const std::vector<std::byte> base = random_bytes(rng, kPageSize, percent);
+    std::vector<std::byte> data = base;
+    if (trial % 3 == 0) {
+      data = random_bytes(rng, kPageSize, rng.next_u64() % 101);
+    } else {
+      const std::size_t edits = 1 + rng.next_u64() % 200;
+      for (std::size_t e = 0; e < edits; ++e) {
+        data[rng.next_u64() % kPageSize] ^=
+            static_cast<std::byte>(1 + rng.next_u64() % 255);
+      }
+    }
+    std::vector<std::byte> xored(kPageSize);
+    for (std::size_t i = 0; i < kPageSize; ++i) xored[i] = data[i] ^ base[i];
+
+    std::vector<std::byte> delta(kPageSize, std::byte{0xCC});
+    const rle::DeltaSizes sizes = rle::size_with_delta(data, base, delta);
+    EXPECT_EQ(delta, xored);
+    const std::size_t raw_size = reference_encode(data).size();
+    const std::size_t delta_size = reference_encode(xored).size();
+    ASSERT_EQ(sizes.raw, raw_size) << "trial " << trial;
+    ASSERT_EQ(sizes.delta, delta_size) << "trial " << trial;
+
+    // The store makes the same choice and keeps the winner exactly sized.
+    Page base_page;
+    Page data_page;
+    std::memcpy(base_page.data.data(), base.data(), kPageSize);
+    std::memcpy(data_page.data.data(), data.data(), kPageSize);
+    if (base_page == data_page) continue;
+    store::PageStore pages(/*delta_compress=*/true);
+    const std::uint64_t base_key =
+        pages.intern(base_page, store::page_digest(base_page));
+    const std::uint64_t after_base = pages.stats().bytes_physical;
+    (void)pages.intern(data_page, store::page_digest(data_page), base_key);
+    const bool delta_wins = delta_size < raw_size;
+    deltas_won += delta_wins ? 1 : 0;
+    EXPECT_EQ(pages.stats().delta_entries, delta_wins ? 1u : 0u);
+    EXPECT_EQ(pages.stats().bytes_physical - after_base,
+              (delta_wins ? delta_size : raw_size) +
+                  (after_base - reference_encode(base).size()))
+        << "trial " << trial;
+  }
+  EXPECT_GT(deltas_won, 0u);
+
+  std::vector<std::byte> ragged(kPageSize - 1);
+  std::vector<std::byte> out(kPageSize - 1);
+  EXPECT_THROW((void)rle::size_with_delta(ragged, ragged, out),
+               std::invalid_argument);
 }
 
 TEST(CompressedTransport, ProducesIdenticalBackupImage) {
