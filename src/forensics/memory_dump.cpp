@@ -3,6 +3,7 @@
 #include "common/bytes.h"
 #include "guestos/guest_page_table.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -17,34 +18,43 @@ MemoryDump MemoryDump::capture(const Vm& vm, const SymbolTable& symbols,
   dump.flavor_ = flavor;
   dump.symbols_ = symbols;
   dump.vcpu_ = vm.vcpu();
-  dump.pages_.resize(vm.page_count());
+  dump.slot_.assign(vm.page_count(), kUnbacked);
+  dump.frames_.reserve(static_cast<std::size_t>(
+      std::ranges::count_if(vm.p2m(), &Mfn::is_valid)));
   for (std::size_t i = 0; i < vm.page_count(); ++i) {
-    dump.pages_[i] = vm.page(Pfn{i});
+    if (!vm.is_backed(Pfn{i})) continue;
+    dump.slot_[i] = static_cast<std::uint32_t>(dump.frames_.size());
+    dump.frames_.push_back(vm.page(Pfn{i}));
   }
   return dump;
 }
 
+bool MemoryDump::is_backed(Pfn pfn) const {
+  return pfn.value() < slot_.size() && slot_[pfn.value()] != kUnbacked;
+}
+
 const Page& MemoryDump::page(Pfn pfn) const {
-  if (pfn.value() >= pages_.size()) {
+  if (pfn.value() >= slot_.size()) {
     throw std::out_of_range("MemoryDump::page: PFN out of range");
   }
-  return pages_[pfn.value()];
+  const std::uint32_t slot = slot_[pfn.value()];
+  return slot == kUnbacked ? zero_page() : frames_[slot];
 }
 
 std::optional<Paddr> MemoryDump::translate(Vaddr va) const {
   if (va.value() < kVaBase) return std::nullopt;
   const std::uint64_t vpn = (va.value() - kVaBase) >> kPageShift;
-  if (vpn >= pages_.size()) return std::nullopt;
+  if (vpn >= page_count()) return std::nullopt;
 
   const Pfn table_base{vcpu_.cr3 >> kPageShift};
   const std::uint64_t pte_byte_off = vpn * sizeof(std::uint64_t);
   const Pfn pte_page{table_base.value() + pte_byte_off / kPageSize};
-  if (pte_page.value() >= pages_.size()) return std::nullopt;
+  if (pte_page.value() >= page_count()) return std::nullopt;
   const std::uint64_t pte = load_le<std::uint64_t>(
       page(pte_page).bytes(), pte_byte_off % kPageSize);
   if ((pte & GuestPageTable::kPresent) == 0) return std::nullopt;
   const Pfn frame{pte >> kPageShift};
-  if (frame.value() >= pages_.size()) return std::nullopt;
+  if (frame.value() >= page_count()) return std::nullopt;
   return Paddr::from(frame, va.value() & kPageOffsetMask);
 }
 

@@ -1,9 +1,17 @@
 // Full-system memory dump: the input to the Volatility-style plugins.
 //
-// A dump is a frozen copy of a VM's pages plus its vCPU state, labelled and
-// timestamped. CRIMES snapshots three of these around an attack: the last
-// clean checkpoint, the end of the failed epoch, and (after replay) the
-// precise attack instant (section 5.5).
+// A dump copies the frames a VM has backed (written at least once) plus its
+// vCPU state, labelled and timestamped. Never-written frames are not
+// copied: they read as the shared zero frame, exactly as they do in the
+// live VM, so a guest that has touched 250 of its 8192 frames dumps to
+// ~1 MiB rather than 32 MiB. CRIMES snapshots three of these around an
+// attack: the last clean checkpoint, the end of the failed epoch, and
+// (after replay) the precise attack instant (section 5.5).
+//
+// It is a copy rather than a view of the VM because the VM moves on while
+// the dump is still needed: replay rolls the primary back and rewrites it
+// right after the audit-fail dump is taken, and run_honeypot() resumes it
+// later.
 #pragma once
 
 #include "common/sim_clock.h"
@@ -33,8 +41,21 @@ class MemoryDump {
   [[nodiscard]] const SymbolTable& symbols() const { return symbols_; }
   [[nodiscard]] const VcpuState& vcpu() const { return vcpu_; }
 
-  [[nodiscard]] std::size_t page_count() const { return pages_.size(); }
+  // Guest-physical frames, copied or not.
+  [[nodiscard]] std::size_t page_count() const { return slot_.size(); }
+  // Whether the VM had backed `pfn` at capture (so the dump copied it).
+  [[nodiscard]] bool is_backed(Pfn pfn) const;
+  // Frames that were not backed read as zero_page().
   [[nodiscard]] const Page& page(Pfn pfn) const;
+
+  // Calls fn(pfn, page) for every backed frame, in ascending PFN order.
+  // Raw sweeps use it to skip frames that can only read as zeroes.
+  template <typename Fn>
+  void for_each_backed(Fn&& fn) const {
+    for (std::size_t p = 0; p < slot_.size(); ++p) {
+      if (slot_[p] != kUnbacked) fn(Pfn{p}, frames_[slot_[p]]);
+    }
+  }
 
   // VA-space reads through the dumped page table (rooted at the dumped
   // CR3). Return nullopt on translation faults -- forensics tools must
@@ -46,12 +67,9 @@ class MemoryDump {
   [[nodiscard]] std::optional<std::string> read_str(Vaddr va,
                                                     std::size_t max_len) const;
 
-  // Size on disk if persisted (used for cost accounting).
-  [[nodiscard]] std::uint64_t byte_size() const {
-    return pages_.size() * kPageSize;
-  }
-
  private:
+  static constexpr std::uint32_t kUnbacked = UINT32_MAX;
+
   MemoryDump() = default;
 
   std::string label_;
@@ -59,7 +77,8 @@ class MemoryDump {
   OsFlavor flavor_ = OsFlavor::Linux;
   SymbolTable symbols_;
   VcpuState vcpu_;
-  std::vector<Page> pages_;
+  std::vector<std::uint32_t> slot_;  // per PFN: index into frames_
+  std::vector<Page> frames_;         // the backed frames, by ascending PFN
 };
 
 }  // namespace crimes

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -12,6 +13,16 @@ namespace crimes::forensics {
 namespace {
 
 constexpr std::size_t kMaxListWalk = 1 << 16;
+
+// The raw sweeps skip frames the dump did not copy. Such a frame reads as
+// all zeroes, so skipping it is exact only while no signature they look
+// for can match zeroes.
+static_assert(TaskLayout::kMagic != 0, "psscan skips zero frames");
+static_assert(ModuleLayout::kMagic != 0, "modscan skips zero frames");
+static_assert(SocketLayout::kMagic != 0, "netscan skips zero frames");
+static_assert(FileHandleLayout::kMagic != 0, "handles skips zero frames");
+constexpr unsigned char kNop = 0x90;
+static_assert(kNop != 0, "malfind skips zero frames");
 
 std::optional<PsEntry> read_task(const MemoryDump& dump, Vaddr task_va) {
   const auto pid = dump.read_u32(task_va + TaskLayout::kPidOff);
@@ -59,10 +70,11 @@ std::vector<PsEntry> pslist(const MemoryDump& dump) {
 
 std::vector<PsEntry> psscan(const MemoryDump& dump) {
   // Heuristic raw sweep: look for the task magic at every 16-byte-aligned
-  // offset of every physical page, then sanity-check the candidate record.
+  // offset of every backed physical page, then sanity-check the candidate
+  // record.
   std::vector<PsEntry> out;
-  for (std::size_t p = 0; p < dump.page_count(); ++p) {
-    const auto bytes = dump.page(Pfn{p}).bytes();
+  dump.for_each_backed([&out](Pfn pfn, const Page& page) {
+    const auto bytes = page.bytes();
     for (std::size_t off = 0; off + TaskLayout::kSize <= kPageSize;
          off += 16) {
       if (load_le<std::uint32_t>(bytes, off + TaskLayout::kMagicOff) !=
@@ -80,10 +92,10 @@ std::vector<PsEntry> psscan(const MemoryDump& dump) {
           .state = load_le<std::uint32_t>(bytes, off + TaskLayout::kStateOff),
           .start_time_ns =
               load_le<std::uint64_t>(bytes, off + TaskLayout::kStartTimeOff),
-          .task_va = Vaddr{kVaBase + (p << kPageShift) + off},
+          .task_va = Vaddr{kVaBase + (pfn.value() << kPageShift) + off},
       });
     }
-  }
+  });
   return out;
 }
 
@@ -146,8 +158,8 @@ std::vector<ModEntry> modscan(const MemoryDump& dump) {
   }
 
   std::vector<ModEntry> out;
-  for (std::size_t p = 0; p < dump.page_count(); ++p) {
-    const auto bytes = dump.page(Pfn{p}).bytes();
+  dump.for_each_backed([&out, &in_list](Pfn pfn, const Page& page) {
+    const auto bytes = page.bytes();
     for (std::size_t off = 0; off + ModuleLayout::kSize <= kPageSize;
          off += 16) {
       if (load_le<std::uint32_t>(bytes, off + ModuleLayout::kMagicOff) !=
@@ -158,7 +170,7 @@ std::vector<ModEntry> modscan(const MemoryDump& dump) {
           load_cstr(bytes, off + ModuleLayout::kNameOff,
                     ModuleLayout::kNameLen);
       if (!plausible_name(name) || name == "__module_head") continue;
-      const Vaddr va{kVaBase + (p << kPageShift) + off};
+      const Vaddr va{kVaBase + (pfn.value() << kPageShift) + off};
       out.push_back(ModEntry{
           .name = name,
           .size = load_le<std::uint64_t>(bytes, off + ModuleLayout::kSizeOff),
@@ -166,7 +178,7 @@ std::vector<ModEntry> modscan(const MemoryDump& dump) {
           .in_list = in_list.contains(va.value()),
       });
     }
-  }
+  });
   return out;
 }
 
@@ -187,23 +199,59 @@ const char* tcp_state_name(std::uint32_t state) {
 }
 
 namespace {
+
 std::string endpoint(std::uint32_t ip, std::uint16_t port) {
   return std::to_string((ip >> 24) & 0xFF) + "." +
          std::to_string((ip >> 16) & 0xFF) + "." +
          std::to_string((ip >> 8) & 0xFF) + "." + std::to_string(ip & 0xFF) +
          ":" + std::to_string(port);
 }
+
+// Calls visit(slot_va) for every `Layout`-sized slot from `table` on whose
+// magic reads Layout::kMagic, in slot order. The walk has no end of its
+// own: every guest page is mapped, so it runs on through all memory after
+// the table and stops at the first slot whose magic read faults, exactly
+// where a per-slot read_u32 loop stops. It translates once per page and
+// skips frames the dump did not copy, which read as zeroes.
+template <typename Layout, typename Visit>
+void walk_table(const MemoryDump& dump, Vaddr table, Visit&& visit) {
+  constexpr std::size_t kMagicBytes = sizeof(std::uint32_t);
+  for (std::uint64_t i = 0;;) {
+    const Vaddr at = table + i * Layout::kSize + Layout::kMagicOff;
+    const std::uint64_t off = at.value() & kPageOffsetMask;
+    if (off + kMagicBytes > kPageSize) {
+      // This magic straddles a page boundary: read it as a whole.
+      const auto magic = dump.read_u32(at);
+      if (!magic) return;
+      if (*magic == Layout::kMagic) visit(table + i * Layout::kSize);
+      ++i;
+      continue;
+    }
+    const auto pa = dump.translate(at);
+    if (!pa) return;
+    // Slots i..last hold their whole magic on this page.
+    const std::uint64_t last =
+        i + (kPageSize - kMagicBytes - off) / Layout::kSize;
+    if (dump.is_backed(pa->pfn())) {
+      const auto bytes = dump.page(pa->pfn()).bytes();
+      for (std::uint64_t k = i; k <= last; ++k) {
+        const std::size_t slot_off = off + (k - i) * Layout::kSize;
+        if (load_le<std::uint32_t>(bytes, slot_off) == Layout::kMagic) {
+          visit(table + k * Layout::kSize);
+        }
+      }
+    }
+    i = last + 1;
+  }
+}
+
 }  // namespace
 
 std::vector<NetscanRow> netscan(const MemoryDump& dump) {
   std::vector<NetscanRow> out;
   const SymbolNames names = SymbolNames::for_flavor(dump.flavor());
   const Vaddr table = dump.symbols().lookup(names.socket_table);
-  for (std::size_t i = 0;; ++i) {
-    const Vaddr base = table + i * SocketLayout::kSize;
-    const auto magic = dump.read_u32(base + SocketLayout::kMagicOff);
-    if (!magic) break;  // ran off the mapped table region
-    if (*magic != SocketLayout::kMagic) continue;
+  walk_table<SocketLayout>(dump, table, [&](Vaddr base) {
     out.push_back(NetscanRow{
         .pid = Pid{dump.read_u32(base + SocketLayout::kPidOff).value_or(0)},
         .proto = dump.read_u32(base + SocketLayout::kProtoOff).value_or(0),
@@ -220,7 +268,7 @@ std::vector<NetscanRow> netscan(const MemoryDump& dump) {
                     .value_or(0))),
         .entry_va = base,
     });
-  }
+  });
   return out;
 }
 
@@ -228,11 +276,7 @@ std::vector<HandleRow> handles(const MemoryDump& dump) {
   std::vector<HandleRow> out;
   const SymbolNames names = SymbolNames::for_flavor(dump.flavor());
   const Vaddr table = dump.symbols().lookup(names.file_table);
-  for (std::size_t i = 0;; ++i) {
-    const Vaddr base = table + i * FileHandleLayout::kSize;
-    const auto magic = dump.read_u32(base + FileHandleLayout::kMagicOff);
-    if (!magic) break;
-    if (*magic != FileHandleLayout::kMagic) continue;
+  walk_table<FileHandleLayout>(dump, table, [&](Vaddr base) {
     out.push_back(HandleRow{
         .pid = Pid{dump.read_u32(base + FileHandleLayout::kPidOff)
                        .value_or(0)},
@@ -241,7 +285,7 @@ std::vector<HandleRow> handles(const MemoryDump& dump) {
                     .value_or(""),
         .entry_va = base,
     });
-  }
+  });
   return out;
 }
 
@@ -320,39 +364,36 @@ std::vector<std::uint64_t> syscall_table(const MemoryDump& dump) {
 std::vector<MalfindHit> malfind(const MemoryDump& dump,
                                 std::size_t min_sled) {
   std::vector<MalfindHit> hits;
-  for (std::size_t p = 0; p < dump.page_count(); ++p) {
-    const auto bytes = dump.page(Pfn{p}).bytes();
+  dump.for_each_backed([&hits, min_sled](Pfn pfn, const Page& page) {
+    const std::byte* bytes = page.data.data();
     std::size_t i = 0;
     while (i < kPageSize) {
-      // Count a run of 0x90 NOPs.
-      std::size_t sled = 0;
-      while (i + sled < kPageSize && bytes[i + sled] == std::byte{0x90}) {
-        ++sled;
-      }
-      if (sled >= min_sled) {
-        // Does a syscall stub follow? mov rax, imm32 (48 C7 C0 ..) then
-        // syscall (0F 05).
-        const std::size_t after = i + sled;
-        bool stub = false;
-        if (after + 9 <= kPageSize && bytes[after] == std::byte{0x48} &&
-            bytes[after + 1] == std::byte{0xC7} &&
-            bytes[after + 2] == std::byte{0xC0} &&
-            bytes[after + 7] == std::byte{0x0F} &&
-            bytes[after + 8] == std::byte{0x05}) {
-          stub = true;
-        }
-        hits.push_back(MalfindHit{
-            .va = Vaddr{kVaBase + (p << kPageShift) + i},
-            .length = sled + (stub ? 9 : 0),
-            .reason = "NOP sled (" + std::to_string(sled) + " bytes)" +
-                      (stub ? " + syscall stub" : ""),
-        });
-        i = after + (stub ? 9 : 0);
-        continue;
-      }
-      i += sled + 1;
+      const void* nop = std::memchr(bytes + i, kNop, kPageSize - i);
+      if (nop == nullptr) break;
+      const std::size_t start =
+          static_cast<std::size_t>(static_cast<const std::byte*>(nop) - bytes);
+      std::size_t after = start + 1;
+      while (after < kPageSize && bytes[after] == std::byte{kNop}) ++after;
+      i = after;
+      const std::size_t sled = after - start;
+      if (sled < min_sled) continue;
+      // Does a syscall stub follow? mov rax, imm32 (48 C7 C0 ..) then
+      // syscall (0F 05).
+      const bool stub = after + 9 <= kPageSize &&
+                        bytes[after] == std::byte{0x48} &&
+                        bytes[after + 1] == std::byte{0xC7} &&
+                        bytes[after + 2] == std::byte{0xC0} &&
+                        bytes[after + 7] == std::byte{0x0F} &&
+                        bytes[after + 8] == std::byte{0x05};
+      hits.push_back(MalfindHit{
+          .va = Vaddr{kVaBase + (pfn.value() << kPageShift) + start},
+          .length = sled + (stub ? 9 : 0),
+          .reason = "NOP sled (" + std::to_string(sled) + " bytes)" +
+                    (stub ? " + syscall stub" : ""),
+      });
+      if (stub) i += 9;
     }
-  }
+  });
   return hits;
 }
 
@@ -382,8 +423,11 @@ DumpDiff DumpDiff::compute(const MemoryDump& before, const MemoryDump& after) {
 
   const std::size_t pages = std::min(before.page_count(), after.page_count());
   for (std::size_t i = 0; i < pages; ++i) {
-    if (!(before.page(Pfn{i}) == after.page(Pfn{i}))) {
-      diff.changed_pages.push_back(Pfn{i});
+    const Pfn pfn{i};
+    // A frame neither dump copied reads as zeroes in both.
+    if (!before.is_backed(pfn) && !after.is_backed(pfn)) continue;
+    if (!(before.page(pfn) == after.page(pfn))) {
+      diff.changed_pages.push_back(pfn);
     }
   }
 

@@ -33,6 +33,8 @@ struct PsEntry {
   std::uint32_t state = 0;
   std::uint64_t start_time_ns = 0;
   Vaddr task_va;
+
+  friend bool operator==(const PsEntry&, const PsEntry&) = default;
 };
 
 [[nodiscard]] std::vector<PsEntry> pslist(const MemoryDump& dump);
@@ -47,6 +49,8 @@ struct PsxRow {
   // A row that psscan/pid-hash sees but pslist does not is the paper's
   // "potentially malicious" signature.
   [[nodiscard]] bool suspicious() const { return !in_pslist; }
+
+  friend bool operator==(const PsxRow&, const PsxRow&) = default;
 };
 
 [[nodiscard]] std::vector<PsxRow> psxview(const MemoryDump& dump);
@@ -56,6 +60,8 @@ struct ModEntry {
   std::uint64_t size = 0;
   Vaddr module_va;
   bool in_list = false;  // reachable from the modules list head
+
+  friend bool operator==(const ModEntry&, const ModEntry&) = default;
 };
 
 [[nodiscard]] std::vector<ModEntry> modscan(const MemoryDump& dump);
@@ -67,6 +73,8 @@ struct NetscanRow {
   std::string local;   // "a.b.c.d:port"
   std::string remote;
   Vaddr entry_va;
+
+  friend bool operator==(const NetscanRow&, const NetscanRow&) = default;
 };
 
 [[nodiscard]] const char* tcp_state_name(std::uint32_t state);
@@ -76,6 +84,8 @@ struct HandleRow {
   Pid pid;
   std::string path;
   Vaddr entry_va;
+
+  friend bool operator==(const HandleRow&, const HandleRow&) = default;
 };
 
 [[nodiscard]] std::vector<HandleRow> handles(const MemoryDump& dump);
@@ -83,6 +93,9 @@ struct HandleRow {
 struct ProcdumpResult {
   PsEntry proc;
   std::vector<std::byte> image;  // extracted task record + context bytes
+
+  friend bool operator==(const ProcdumpResult&,
+                         const ProcdumpResult&) = default;
 };
 
 // Returns nullopt when the pid is not found in either pslist or psscan.
@@ -93,6 +106,8 @@ struct VadRegion {
   Vaddr start;
   Vaddr end;
   std::string label;
+
+  friend bool operator==(const VadRegion&, const VadRegion&) = default;
 };
 
 // linux_proc_maps-style address-space map for one process.
@@ -112,11 +127,14 @@ struct MalfindHit {
   Vaddr va;            // start of the suspicious bytes
   std::size_t length = 0;
   std::string reason;  // e.g. "NOP sled (24 bytes) + syscall stub"
+
+  friend bool operator==(const MalfindHit&, const MalfindHit&) = default;
 };
 
-// Sweeps raw physical memory for shellcode signatures: long NOP sleds and
-// `mov rax, imm; syscall` stubs. Like Volatility's malfind, it trades
-// false positives for coverage; callers triage the hits.
+// Sweeps raw physical memory for shellcode signatures: runs of at least
+// `min_sled` NOPs, each optionally followed by a `mov rax, imm; syscall`
+// stub. Like Volatility's malfind, it trades false positives for
+// coverage; callers triage the hits.
 [[nodiscard]] std::vector<MalfindHit> malfind(const MemoryDump& dump,
                                               std::size_t min_sled = 16);
 
@@ -125,6 +143,9 @@ struct MalfindHit {
 struct TimelineEvent {
   std::uint64_t at_ns = 0;
   std::string description;
+
+  friend bool operator==(const TimelineEvent&,
+                         const TimelineEvent&) = default;
 };
 
 // Orders process starts (from psscan, so hidden processes appear too)
@@ -148,6 +169,8 @@ struct DumpDiff {
            exited_processes.empty() && new_sockets.empty() &&
            new_handles.empty() && changed_syscall_slots.empty();
   }
+
+  friend bool operator==(const DumpDiff&, const DumpDiff&) = default;
 };
 
 }  // namespace crimes::forensics

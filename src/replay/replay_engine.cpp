@@ -26,8 +26,10 @@ bool overlaps(const PhysRange& a, const MemEvent& ev) {
 PinpointResult ReplayEngine::pinpoint_canary_corruption(
     std::span<const WriteOp> ops, Vaddr canary_va, std::uint64_t expected,
     std::optional<std::uint64_t> from_generation) {
-  // Copy the log: replay re-enters the guest, and the caller's span may
-  // alias the live recorder buffer.
+  // Copy the records: replay re-enters the guest, and the caller's span may
+  // alias the live recorder's op vector, which a recording replay would
+  // grow. Their payloads stay put in the recorder's arena until its next
+  // begin_epoch(), so the fixed-size records are all that is copied.
   const std::vector<WriteOp> log(ops.begin(), ops.end());
 
   PinpointResult result;

@@ -11,21 +11,10 @@
 namespace crimes {
 namespace {
 
+using testing::TempDir;
 using testing::TestGuest;
 namespace fs = std::filesystem;
 namespace fx = forensics;
-
-struct TempDir {
-  TempDir() {
-    path = fs::temp_directory_path() /
-           ("crimes-test-" + std::to_string(::getpid()) + "-" +
-            std::to_string(counter++));
-    fs::create_directories(path);
-  }
-  ~TempDir() { fs::remove_all(path); }
-  fs::path path;
-  static inline int counter = 0;
-};
 
 TEST(ArtifactStore, SavesReportAndManifest) {
   TempDir tmp;

@@ -5,7 +5,11 @@
 #include "guestos/guest_kernel.h"
 #include "hypervisor/hypervisor.h"
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
+#include <string>
 
 namespace crimes::testing {
 
@@ -30,6 +34,23 @@ struct TestGuest {
   Vm* vm = nullptr;
   std::unique_ptr<GuestKernel> kernel_holder;
   GuestKernel* kernel = nullptr;
+};
+
+// A fresh directory under the system temp dir, removed with everything in
+// it when the object goes out of scope.
+struct TempDir {
+  TempDir() {
+    path = std::filesystem::temp_directory_path() /
+           ("crimes-test-" + std::to_string(::getpid()) + "-" +
+            std::to_string(counter++));
+    std::filesystem::create_directories(path);
+  }
+  ~TempDir() { std::filesystem::remove_all(path); }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  std::filesystem::path path;
+  static inline int counter = 0;
 };
 
 }  // namespace crimes::testing

@@ -1,11 +1,18 @@
 // Unit tests: execution recording and rollback-and-replay pinpointing.
 #include "checkpoint/checkpointer.h"
+#include "common/rng.h"
 #include "replay/recorder.h"
 #include "replay/replay_engine.h"
 #include "store/checkpoint_store.h"
 #include "test_helpers.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+
+// Every heap allocation in the test binary (test_telemetry.cpp).
+extern std::atomic<std::uint64_t> g_heap_allocs;
 
 namespace crimes {
 namespace {
@@ -63,6 +70,72 @@ TEST(Recorder, DisabledRecordsNothing) {
       f.guest.kernel->layout().heap_base);
   f.guest.kernel->write_value<std::uint64_t>(heap, 1ULL);
   EXPECT_EQ(f.recorder.op_count(), 0u);
+}
+
+TEST(Recorder, SteadyEpochAllocatesNothing) {
+  ReplayFixture f;
+  const Vaddr heap = f.guest.kernel->layout().va_of(
+      f.guest.kernel->layout().heap_base);
+  // More small writes than one arena block holds, then one write larger
+  // than a block.
+  const std::vector<std::byte> big(ExecutionRecorder::kBlockBytes * 3 / 2,
+                                   std::byte{0x5A});
+  const auto epoch = [&] {
+    f.recorder.begin_epoch();
+    for (std::uint64_t i = 0; i < 10'000; ++i) {
+      f.guest.kernel->write_value<std::uint64_t>(heap + 8 * i, i);
+    }
+    f.guest.kernel->write_virt(heap + 0x20000, big);
+  };
+  epoch();  // sizes the arena and the op vector
+  const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
+  epoch();
+  const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u);
+  ASSERT_EQ(f.recorder.op_count(), 10'001u);
+  EXPECT_TRUE(std::ranges::equal(f.recorder.ops().back().data, big));
+}
+
+TEST(Recorder, SpansStayIntactAcrossBlocksAndOversizeWrites) {
+  ExecutionRecorder recorder;
+  recorder.enable();
+  Rng rng(7);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    recorder.begin_epoch();
+    std::vector<std::vector<std::byte>> written;
+    const auto write = [&](std::size_t n) {
+      std::vector<std::byte> bytes(n);
+      for (auto& b : bytes) b = std::byte(rng.next_below(256));
+      recorder.record(Vaddr{kVaBase + 8 * written.size()}, bytes,
+                      written.size());
+      written.push_back(std::move(bytes));
+    };
+    std::size_t total = 0;
+    while (total < 2 * ExecutionRecorder::kBlockBytes) {
+      write(1 + rng.next_below(1000));
+      total += written.back().size();
+    }
+    write(ExecutionRecorder::kBlockBytes + 123);
+    for (int i = 0; i < 50; ++i) write(1 + rng.next_below(1000));
+    write(0);
+
+    // Every span still holds its bytes after everything recorded later,
+    // and at least one write moved on to a fresh block.
+    ASSERT_EQ(recorder.op_count(), written.size());
+    bool crossed = false;
+    for (std::size_t i = 0; i < written.size(); ++i) {
+      const WriteOp& op = recorder.ops()[i];
+      EXPECT_EQ(op.instr_index, i);
+      EXPECT_TRUE(std::ranges::equal(op.data, written[i])) << "op " << i;
+      if (i > 0 && !op.data.empty() &&
+          recorder.ops()[i - 1].data.data() +
+                  recorder.ops()[i - 1].data.size() !=
+              op.data.data()) {
+        crossed = true;
+      }
+    }
+    EXPECT_TRUE(crossed);
+  }
 }
 
 TEST(Replay, PinpointsTheExactCorruptingWrite) {
