@@ -6,6 +6,7 @@
 #include "fault/fault_injector.h"
 #include "replication/store_journal.h"
 #include "store/checkpoint_store.h"
+#include "store/page_store.h"
 #include "telemetry/telemetry.h"
 
 #include <chrono>
@@ -129,8 +130,10 @@ Checkpointer::Checkpointer(Hypervisor& hypervisor, Vm& primary,
     pool_ = std::make_unique<ThreadPool>(config_.pool_threads());
   }
   if (config_.opt_memcpy) {
-    transport_ = std::make_unique<MemcpyTransport>(costs, pool_.get(),
-                                                   config_.copy_threads);
+    auto transport = std::make_unique<MemcpyTransport>(costs, pool_.get(),
+                                                       config_.copy_threads);
+    memcpy_ = transport.get();
+    transport_ = std::move(transport);
   } else if (config_.compress) {
     transport_ = std::make_unique<CompressedSocketTransport>(costs);
   } else {
@@ -186,8 +189,7 @@ void Checkpointer::initialize() {
 
   if (config_.speculative_cow) {
     cow_ = std::make_unique<CowCheckpointer>(*hypervisor_, *primary_,
-                                             *backup_, *costs_, config_,
-                                             pool_.get());
+                                             *backup_, *costs_);
   }
 
   primary_->enable_log_dirty();
@@ -343,11 +345,10 @@ EpochResult Checkpointer::run_checkpoint(const AuditFn& audit) {
     // 4'. Speculative CoW (DESIGN.md section 12): write-protect the dirty
     // set and resume immediately. Map and copy move off-pause, onto the
     // drain; the pause is suspend + scan + audit + protect + resume.
-    const bool capture_undo = faults_ != nullptr || config_.verify_backup;
     const bool want_digests = store_ != nullptr || config_.verify_backup;
     wall_start();
-    result.costs.protect = cow_->protect(result.dirty, primary_->vcpu(),
-                                         capture_undo, want_digests);
+    result.costs.protect =
+        cow_->protect(result.dirty, primary_->vcpu(), want_digests);
     wall_stop();
     phase_span("cow_protect", result.costs.protect, wall);
     // The protected set is the checkpoint; any page written during the
@@ -381,7 +382,13 @@ EpochResult Checkpointer::run_checkpoint(const AuditFn& audit) {
   {
     ForeignMapping src = hypervisor_->map_foreign(primary_->id());
     ForeignMapping dst = hypervisor_->map_foreign(backup_->id());
-    result.costs.copy = copy_with_retries(src, dst, result);
+    undo_.clear();
+    const CopyOutcome copied = copy_with_retries(src, dst, result.dirty,
+                                                 result.dirty, {}, undo_);
+    result.costs.copy = copied.cost;
+    result.recovery_cost += copied.recovery_cost;
+    result.copy_retries = copied.retries;
+    result.checkpoint_committed = copied.committed;
     if (result.checkpoint_committed && config_.remote_backup) {
       // Remus releases the epoch only after the remote host acknowledges
       // the complete checkpoint.
@@ -395,7 +402,6 @@ EpochResult Checkpointer::run_checkpoint(const AuditFn& audit) {
     backup_->vcpu() = backup_vcpu_;
     primary_->dirty_bitmap().clear_all();
     ++checkpoints_taken_;
-    if (config_.history_capacity > 0) push_history();
   } else {
     // Copy failed for good this epoch: the backup was restored to the last
     // clean checkpoint and the dirty bitmap is retained, so the next
@@ -422,18 +428,24 @@ EpochResult Checkpointer::run_checkpoint(const AuditFn& audit) {
   // again, so the append/GC cost lengthens the epoch, not the pause
   // (Remus drains checkpoints asynchronously for the same reason).
   if (store_ != nullptr && result.checkpoint_committed) {
-    store_commit(result);
+    result.store_cost = store_commit(result.dirty, {});
   }
   return result;
 }
 
-void Checkpointer::store_commit(EpochResult& result) {
+Nanos Checkpointer::store_commit(std::span<const Pfn> dirty,
+                                 std::span<const Hash128> digests) {
   telemetry::TraceRecorder* trace =
       telemetry_ != nullptr ? &telemetry_->trace : nullptr;
   ForeignMapping image = hypervisor_->map_foreign(backup_->id());
+  // Digests the copy already fused stand in for the store's hash pass --
+  // the append then prices encoding only.
   const Nanos append_cost =
-      store_->append(checkpoints_taken_, result.dirty, image, backup_vcpu_,
-                     clock_->now(), pool_.get());
+      digests.empty()
+          ? store_->append(checkpoints_taken_, dirty, image, backup_vcpu_,
+                           clock_->now(), pool_.get())
+          : store_->append_with_digests(checkpoints_taken_, dirty, digests,
+                                        image, backup_vcpu_, clock_->now());
   if (trace != nullptr) {
     trace->add_span("store_append", clock_->now(), append_cost);
     // The seal/attest share of the append renders as a nested child at
@@ -462,7 +474,7 @@ void Checkpointer::store_commit(EpochResult& result) {
     // only the first record pays the append base cost.
     journal_->begin_batch();
     journal_cost = journal_->log_append(checkpoints_taken_, clock_->now(),
-                                        result.dirty, image, backup_vcpu_,
+                                        dirty, image, backup_vcpu_,
                                         store_->root());
     journal_cost += journal_->log_collect();
     journal_->end_batch();
@@ -472,8 +484,8 @@ void Checkpointer::store_commit(EpochResult& result) {
     clock_->advance(journal_cost);
   }
 
-  result.store_cost = append_cost + gc_cost + journal_cost;
   update_store_gauges();
+  return append_cost + gc_cost + journal_cost;
 }
 
 bool Checkpointer::cow_drain_pending() const {
@@ -485,7 +497,26 @@ CowCommit Checkpointer::complete_cow_drain(Nanos resume_at) {
     throw std::logic_error(
         "Checkpointer::complete_cow_drain: no drain pending");
   }
-  CowCommit commit = cow_->complete(faults_);
+  CowCommit commit;
+  commit.first_touches = cow_->first_touches();
+  commit.first_touch_cost = cow_->first_touch_cost();
+  const std::span<const Pfn> untouched = cow_->untouched();
+  commit.drained_pages = untouched.size();
+  {
+    // The drain pays what the pause used to -- mapping the dirty frames,
+    // then the copy loop over the pages the guest never touched -- plus
+    // the first-touch traps already taken.
+    ForeignMapping src = hypervisor_->map_foreign(primary_->id());
+    ForeignMapping dst = hypervisor_->map_foreign(backup_->id());
+    const CopyOutcome copied = copy_with_retries(
+        src, dst, untouched, cow_->dirty(), cow_->digests(), cow_->undo());
+    commit.committed = copied.committed;
+    commit.drain_cost = map_cost(cow_->dirty().size()) +
+                        commit.first_touch_cost + copied.cost;
+    commit.recovery_cost = copied.recovery_cost;
+    commit.copy_retries = copied.retries;
+  }
+  cow_->settle(commit.committed);
 
   // Timeline: the drain ran on its own lane from the instant the VM
   // resumed; the commit barrier charges the clock only the portion that
@@ -517,9 +548,6 @@ CowCommit Checkpointer::complete_cow_drain(Nanos resume_at) {
     metrics_.cow_first_touches->add(commit.first_touches);
     metrics_.cow_pending_pages->set(0.0);
   }
-  if (metrics_.copy_retries != nullptr && commit.copy_retries > 0) {
-    metrics_.copy_retries->add(commit.copy_retries);
-  }
   if (metrics_.recovery != nullptr && commit.recovery_cost.count() > 0) {
     metrics_.recovery->record(
         static_cast<std::uint64_t>(commit.recovery_cost.count()));
@@ -529,58 +557,19 @@ CowCommit Checkpointer::complete_cow_drain(Nanos resume_at) {
     backup_vcpu_ = cow_->vcpu_at_checkpoint();
     backup_->vcpu() = backup_vcpu_;
     ++checkpoints_taken_;
-    if (config_.history_capacity > 0) push_history();
-    if (store_ != nullptr) commit.store_cost = cow_store_commit();
-  } else if (metrics_.checkpoint_failures != nullptr) {
-    metrics_.checkpoint_failures->add();
+    if (store_ != nullptr) {
+      commit.store_cost = store_commit(cow_->dirty(), cow_->digests());
+    }
+  } else {
+    if (metrics_.checkpoint_failures != nullptr) {
+      metrics_.checkpoint_failures->add();
+    }
+    CRIMES_LOG(Warn, "cow")
+        << "drain FAILED after " << commit.copy_retries
+        << " retries; backup restored, " << cow_->dirty().size()
+        << " dirty pages re-marked";
   }
   return commit;
-}
-
-Nanos Checkpointer::cow_store_commit() {
-  telemetry::TraceRecorder* trace =
-      telemetry_ != nullptr ? &telemetry_->trace : nullptr;
-  ForeignMapping image = hypervisor_->map_foreign(backup_->id());
-  // The fused digests captured during the drain stand in for the store's
-  // hash pass -- the append prices encoding only.
-  const Nanos append_cost =
-      store_->append_with_digests(checkpoints_taken_, cow_->dirty(),
-                                  cow_->digests(), image, backup_vcpu_,
-                                  clock_->now());
-  if (trace != nullptr) {
-    trace->add_span("store_append", clock_->now(), append_cost);
-    const Nanos seal_cost = store_->last_seal_cost();
-    if (seal_cost.count() > 0) {
-      trace->add_span("seal", clock_->now() + append_cost - seal_cost,
-                      seal_cost);
-    }
-  }
-  clock_->advance(append_cost);
-
-  const Nanos gc_cost = store_->collect();
-  if (trace != nullptr && gc_cost.count() > 0) {
-    trace->add_span("gc", clock_->now(), gc_cost);
-  }
-  clock_->advance(gc_cost);
-
-  Nanos journal_cost{0};
-  if (journal_ != nullptr) {
-    // One commit, one device flush: the append and GC statements share a
-    // single journal batch, so only the first record pays the base cost.
-    journal_->begin_batch();
-    journal_cost = journal_->log_append(checkpoints_taken_, clock_->now(),
-                                        cow_->dirty(), image, backup_vcpu_,
-                                        store_->root());
-    journal_cost += journal_->log_collect();
-    journal_->end_batch();
-    if (trace != nullptr) {
-      trace->add_span("journal", clock_->now(), journal_cost);
-    }
-    clock_->advance(journal_cost);
-  }
-
-  update_store_gauges();
-  return append_cost + gc_cost + journal_cost;
 }
 
 void Checkpointer::update_store_gauges() {
@@ -600,72 +589,93 @@ void Checkpointer::update_store_gauges() {
 
 bool Checkpointer::backup_matches(ForeignMapping& primary,
                                   ForeignMapping& backup,
-                                  std::span<const Pfn> dirty) const {
-  for (const Pfn pfn : dirty) {
-    if (hash128(primary.peek(pfn).bytes()) !=
-        hash128(backup.peek(pfn).bytes())) {
-      return false;
-    }
+                                  std::span<const Pfn> image,
+                                  std::span<const Hash128> digests) {
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    const Hash128 want = digests.empty()
+                             ? store::page_digest(primary.peek(image[i]))
+                             : digests[i];
+    if (store::page_digest(backup.peek(image[i])) != want) return false;
   }
   return true;
 }
 
-Nanos Checkpointer::copy_with_retries(ForeignMapping& src, ForeignMapping& dst,
-                                      EpochResult& result) {
-  if (faults_ == nullptr && !config_.verify_backup) {
-    return transport_->copy(src, dst, result.dirty);
+Checkpointer::CopyOutcome Checkpointer::copy_with_retries(
+    ForeignMapping& src, ForeignMapping& dst, std::span<const Pfn> copy,
+    std::span<const Pfn> image, std::span<Hash128> digests, UndoLog& undo) {
+  // Undo first: the backup's current bytes -- the last clean checkpoint --
+  // of every page the copy will overwrite, captured only when an attempt
+  // can fail. This is what keeps the "backup is never left torn" invariant
+  // when every retry fails (Remus applies checkpoints atomically for the
+  // same reason).
+  if (faults_ != nullptr || config_.verify_backup) {
+    for (const Pfn pfn : copy) undo.capture(dst, pfn);
   }
+  const bool fused = !digests.empty();
+  fused_.resize(fused ? copy.size() : 0);
 
-  // Undo log: the backup's current bytes -- the last clean checkpoint --
-  // of every page this copy will touch. peek() never materializes frames;
-  // a page with no backup frame snapshots as the shared zero page, which
-  // restores to equivalent bytes. This is what keeps the "backup is never
-  // left torn" invariant when every retry fails (Remus applies checkpoints
-  // atomically for the same reason).
-  std::vector<Page> undo;
-  undo.reserve(result.dirty.size());
-  for (const Pfn pfn : result.dirty) undo.push_back(dst.peek(pfn));
-
-  Nanos cost{0};
+  CopyOutcome out;
   for (std::size_t attempt = 0;; ++attempt) {
     bool ok = true;
     try {
-      cost += transport_->copy(src, dst, result.dirty);
+      out.cost += fused ? memcpy_->copy(src, dst, copy, fused_)
+                        : transport_->copy(src, dst, copy);
     } catch (const fault::TransportFault& aborted) {
-      cost += aborted.wasted();
-      result.recovery_cost += aborted.wasted();
-      if (metrics_.transport_faults != nullptr) metrics_.transport_faults->add();
+      out.cost += aborted.wasted();
+      out.recovery_cost += aborted.wasted();
+      if (metrics_.transport_faults != nullptr) {
+        metrics_.transport_faults->add();
+      }
       ok = false;
     }
+    // The torn-write fault site: drawn once per completed attempt whenever
+    // the checkpoint has pages -- so stop-copy and CoW twins draw alike --
+    // and striking a page this attempt copied. A first-touched page never
+    // qualifies: its primary source is gone, it can never be recopied.
+    if (ok && faults_ != nullptr && !image.empty() &&
+        faults_->tears_backup_write() && !copy.empty()) {
+      const Pfn victim = copy[faults_->torn_victim(copy.size())];
+      Page& page = dst.page(victim);
+      const std::size_t offset = (victim.value() * 64) % (kPageSize - 64);
+      for (std::size_t i = 0; i < 64; ++i) {
+        page.data[offset + i] ^= std::byte{0x5A};
+      }
+    }
+    if (ok && fused) {
+      // File each copied page's digest under its slot in `image`.
+      for (std::size_t i = 0, j = 0; i < image.size() && j < copy.size();
+           ++i) {
+        if (image[i] == copy[j]) digests[i] = fused_[j++];
+      }
+    }
     if (ok && config_.verify_backup) {
-      // Checksum both sides of every dirty page (really computed): an
-      // aborted stream is loud, but a torn write is only caught here.
-      cost += costs_->checksum_per_page * (2 * result.dirty.size());
-      if (!backup_matches(src, dst, result.dirty)) {
+      // Checksum every page of the checkpoint (really computed): an
+      // aborted stream is loud, but a torn write is only caught here. The
+      // fused digests make the primary side free -- one sweep, not two.
+      out.cost +=
+          costs_->checksum_per_page * (image.size() * (fused ? 1 : 2));
+      if (!backup_matches(src, dst, image, digests)) {
         if (metrics_.torn_writes != nullptr) metrics_.torn_writes->add();
         ok = false;
       }
     }
-    if (ok) return cost;
+    if (ok) return out;
 
     if (attempt >= config_.max_copy_retries) break;
     const Nanos backoff = costs_->retry_backoff_base * (1LL << attempt);
-    cost += backoff;
-    result.recovery_cost += backoff;
-    ++result.copy_retries;
+    out.cost += backoff;
+    out.recovery_cost += backoff;
+    ++out.retries;
     if (metrics_.copy_retries != nullptr) metrics_.copy_retries->add();
   }
 
   // Retries exhausted: put the last clean checkpoint back.
-  for (std::size_t i = 0; i < undo.size(); ++i) {
-    std::memcpy(dst.page(result.dirty[i]).data.data(), undo[i].data.data(),
-                kPageSize);
-  }
+  undo.restore(dst);
   const Nanos repair = costs_->copy_memcpy_per_page * undo.size();
-  cost += repair;
-  result.recovery_cost += repair;
-  result.checkpoint_committed = false;
-  return cost;
+  out.cost += repair;
+  out.recovery_cost += repair;
+  out.committed = false;
+  return out;
 }
 
 void Checkpointer::record_epoch_metrics(const EpochResult& result) {
@@ -823,19 +833,6 @@ Vm& Checkpointer::failover() {
       << " (speculative state since the last checkpoint is lost)";
   backup_ = nullptr;  // lifecycle ownership stays with the hypervisor
   return promoted;
-}
-
-void Checkpointer::push_history() {
-  Snapshot snap;
-  snap.taken_at = clock_->now();
-  snap.vcpu = backup_vcpu_;
-  snap.pages.resize(backup_->page_count());
-  const Vm& backup = *backup_;
-  for (std::size_t i = 0; i < backup.page_count(); ++i) {
-    snap.pages[i] = backup.page(Pfn{i});
-  }
-  history_.push_back(std::move(snap));
-  while (history_.size() > config_.history_capacity) history_.pop_front();
 }
 
 }  // namespace crimes

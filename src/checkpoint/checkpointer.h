@@ -14,6 +14,7 @@
 #pragma once
 
 #include "checkpoint/transport.h"
+#include "checkpoint/undo_log.h"
 #include "common/cost_model.h"
 #include "common/sim_clock.h"
 #include "common/thread_pool.h"
@@ -39,7 +40,6 @@ namespace crimes::replication {
 class StoreJournal;
 }  // namespace crimes::replication
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -55,7 +55,6 @@ struct CheckpointConfig {
   bool opt_memcpy = false;        // Optimization 1: memcpy, not write
   bool opt_premap = false;        // Optimization 2: global memory mapping
   bool opt_chunked_scan = false;  // Optimization 3: word-wise dirty scan
-  std::size_t history_capacity = 0;  // extension: ring of full snapshots
   // Extension (section 4.1): keep the backup on a *remote* host for high
   // availability as well as security. Forces the Remus socket transport
   // and adds a per-epoch commit acknowledgement round trip. Incompatible
@@ -239,14 +238,6 @@ struct CowCommit {
   std::size_t copy_retries = 0;
 };
 
-// Extension (section 3.1: "CRIMES could be extended to include a history of
-// checkpoints"): a full snapshot kept in a bounded ring.
-struct Snapshot {
-  Nanos taken_at{0};
-  VcpuState vcpu;
-  std::vector<Page> pages;
-};
-
 class Checkpointer {
  public:
   Checkpointer(Hypervisor& hypervisor, Vm& primary, SimClock& clock,
@@ -314,9 +305,6 @@ class Checkpointer {
   [[nodiscard]] std::uint64_t checkpoints_taken() const {
     return checkpoints_taken_;
   }
-  [[nodiscard]] const std::deque<Snapshot>& history() const {
-    return history_;
-  }
   [[nodiscard]] const Transport& transport() const { return *transport_; }
   // The worker pool behind the parallel knobs; nullptr when every phase is
   // serial. The Detector borrows it for parallel audits.
@@ -346,23 +334,42 @@ class Checkpointer {
  private:
   void full_sync();
   [[nodiscard]] Nanos map_cost(std::size_t dirty_pages) const;
-  // hash128 page checksums of primary vs backup over `dirty`; the
-  // virtual-time charge (2 sweeps) is added by the caller.
-  [[nodiscard]] bool backup_matches(ForeignMapping& primary,
-                                    ForeignMapping& backup,
-                                    std::span<const Pfn> dirty) const;
-  // The copy/verify/retry/undo loop behind checkpoint step 5. Returns the
-  // phase's virtual-time cost and fills the resilience fields of `result`.
-  Nanos copy_with_retries(ForeignMapping& src, ForeignMapping& dst,
-                          EpochResult& result);
-  void push_history();
+
+  // What one run of the copy loop did.
+  struct CopyOutcome {
+    Nanos cost{0};           // attempts, verify sweeps, backoff, restore
+    Nanos recovery_cost{0};  // the failure-handling share of `cost`
+    std::size_t retries = 0;
+    bool committed = true;
+  };
+  // The one copy/verify/retry loop behind every write into the backup:
+  // stop-copy's step 5 and the CoW drain. `image` is the checkpoint's whole
+  // dirty set; each attempt copies `copy`, an in-order subsequence of it
+  // (all of it for stop-copy, the untouched pages for the drain). Whenever
+  // an attempt can fail (fault injection or verify_backup), every page of
+  // `copy` is captured into `undo` before the first attempt overwrites it.
+  // With `digests` (parallel to `image`) the copy fuses the digests of the
+  // pages it copies into their slots, and verification checks the backup
+  // against them in one sweep; without, it hashes both sides. Retries
+  // exhausted, `undo` is restored: the backup is never left torn.
+  CopyOutcome copy_with_retries(ForeignMapping& src, ForeignMapping& dst,
+                                std::span<const Pfn> copy,
+                                std::span<const Pfn> image,
+                                std::span<Hash128> digests, UndoLog& undo);
+  // The verification sweep over `image`: the backup against `digests`
+  // when the copy fused them, otherwise against the primary.
+  [[nodiscard]] static bool backup_matches(ForeignMapping& primary,
+                                           ForeignMapping& backup,
+                                           std::span<const Pfn> image,
+                                           std::span<const Hash128> digests);
   void record_epoch_metrics(const EpochResult& result);
-  // Post-commit store hook: append the generation, run incremental GC,
-  // refresh the store.* gauges. Advances the clock (after resume).
-  void store_commit(EpochResult& result);
-  // CoW twin of store_commit: appends with the drain's fused digests
-  // (no hash pass) and batches the journal statements. Returns the cost.
-  [[nodiscard]] Nanos cow_store_commit();
+  // Post-commit store hook: appends the generation -- with the copy's
+  // fused `digests` when it has them (no hash pass), hashing `dirty`
+  // otherwise -- runs incremental GC, batches the journal statements and
+  // refreshes the store.* gauges. Advances the clock (after resume) and
+  // returns the cost.
+  Nanos store_commit(std::span<const Pfn> dirty,
+                     std::span<const Hash128> digests);
   void update_store_gauges();
 
   Hypervisor* hypervisor_;
@@ -379,9 +386,13 @@ class Checkpointer {
   Vm* backup_ = nullptr;
   VcpuState backup_vcpu_;
   std::unique_ptr<Transport> transport_;
+  // transport_ when it is the memcpy one: the CoW drain fuses its digests
+  // into the copy through it.
+  MemcpyTransport* memcpy_ = nullptr;
+  UndoLog undo_;                // stop-copy's; the CoW drain keeps its own
+  std::vector<Hash128> fused_;  // digests of the pages one attempt copied
   Nanos startup_cost_{0};
   std::uint64_t checkpoints_taken_ = 0;
-  std::deque<Snapshot> history_;
   std::unique_ptr<store::CheckpointStore> store_;
   std::unique_ptr<replication::StoreJournal> journal_;
   std::unique_ptr<CowCheckpointer> cow_;  // speculative_cow only

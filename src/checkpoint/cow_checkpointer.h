@@ -20,77 +20,79 @@
 // would have produced -- the property the test suite and the
 // ablation_cow_pause bench assert run by run.
 //
-// The per-page 128-bit digest (common/hash.h's copy_and_hash) is fused into
-// both copy loops (one pass over the bytes instead of copy-then-digest), so
-// the checkpoint store's append skips its hash pass and backup
-// verification reuses the captured digests.
+// The per-page 128-bit digest (store::copy_page_digest) is fused into both
+// copies (one pass over the bytes instead of copy-then-digest), so the
+// checkpoint store's append skips its hash pass and backup verification
+// reuses the captured digests.
 //
-// Fault discipline: an aborted drain attempt really copies a prefix and
-// retries with backoff; a torn write can only strike a *background-drained*
-// page (a first-touched page's primary-side source is gone the moment the
-// guest's write lands, so its copy must never need a retry -- the handler
-// path is the synchronous, cannot-abort hypervisor path). On retry
-// exhaustion the undo log restores every touched backup page and the dirty
-// set is re-marked, exactly like the stop-copy failure path: the backup is
-// never left torn.
+// Fault discipline: the drain runs through the Checkpointer's one
+// copy/verify/retry loop, the same loop stop-copy uses, so an aborted drain
+// attempt really copies a prefix and retries with backoff, and a torn write
+// can only strike a page the drain copied (a first-touched page's
+// primary-side source is gone the moment the guest's write lands, so its
+// copy must never need a retry -- the handler path is the synchronous,
+// cannot-abort hypervisor path). Every page is saved into the undo log
+// before its first overwrite: the first-touch handler does so in every
+// config, the loop whenever an attempt can fail. On retry exhaustion -- or
+// on abandon() -- the undo log restores every backup page the drain wrote
+// and, for a failed drain, the dirty set is re-marked, exactly like the
+// stop-copy failure path: the backup is never left torn.
 #pragma once
 
-#include "checkpoint/checkpointer.h"
+#include "checkpoint/undo_log.h"
 #include "common/cost_model.h"
 #include "common/hash.h"
 #include "common/sim_clock.h"
 #include "hypervisor/hypervisor.h"
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
-
-namespace crimes::fault {
-class FaultInjector;
-}  // namespace crimes::fault
 
 namespace crimes {
 
 class CowCheckpointer {
  public:
   CowCheckpointer(Hypervisor& hypervisor, Vm& primary, Vm& backup,
-                  const CostModel& costs, const CheckpointConfig& config,
-                  ThreadPool* pool);
+                  const CostModel& costs);
 
-  // Arms the drain for this epoch's dirty set: captures the undo log (only
-  // when a failure path exists -- fault injection or verification),
-  // registers the first-touch handler, write-protects the pages and
-  // records the checkpoint vCPU. Returns the protect-phase pause cost.
-  // `want_digests` turns on the fused digest (store enabled or
-  // verify_backup; a plain memcpy drain otherwise).
+  // Arms the drain for this epoch's dirty set: registers the first-touch
+  // handler, write-protects the pages and records the checkpoint vCPU.
+  // Returns the protect-phase pause cost. `want_digests` turns on the fused
+  // digest (store enabled or verify_backup; a plain memcpy drain
+  // otherwise).
   Nanos protect(std::vector<Pfn> dirty, const VcpuState& vcpu,
-                bool capture_undo, bool want_digests);
+                bool want_digests);
 
   [[nodiscard]] bool pending() const { return active_; }
   [[nodiscard]] std::size_t pending_pages() const;
   [[nodiscard]] std::size_t first_touches() const { return first_touches_; }
+  [[nodiscard]] Nanos first_touch_cost() const { return first_touch_cost_; }
 
-  // Drains the untouched remainder, verifies/retries under faults, and
-  // either leaves the backup holding the full checkpoint (returns
-  // committed) or restores it untorn from the undo log and re-marks the
-  // primary's dirty bitmap. Fills everything except `stall` and
-  // `store_cost` (the Checkpointer's concern). The fused digests and the
-  // dirty list remain readable via digests()/dirty() until the next
-  // protect().
-  CowCommit complete(fault::FaultInjector* faults);
+  // What the commit barrier's copy loop still has to copy: the dirty pages
+  // the guest never touched, in dirty() order.
+  [[nodiscard]] std::span<const Pfn> untouched();
+
+  // Ends the drain once the copy loop has run: drops the remaining
+  // protections and, when the drain failed (the loop already restored the
+  // backup from undo()), hands the dirty set back to the primary's bitmap
+  // so the next checkpoint carries this epoch's pages too.
+  void settle(bool committed);
 
   // Failover with a dead primary: the drain can never complete (its page
   // sources are gone with the domain). Restores the backup from the undo
-  // log when one was captured, so the promoted image is the last
-  // *committed* checkpoint, and disarms the drain.
+  // log, so the promoted image is the last *committed* checkpoint, and
+  // disarms the drain.
   void abandon();
 
-  // Valid after a committed complete(): parallel arrays for the store's
-  // append_with_digests.
+  // Parallel arrays for the copy loop and the store's append_with_digests,
+  // valid until the next protect(). digests() is empty without
+  // want_digests; the first-touch handler fills its slots, the copy loop
+  // the rest.
   [[nodiscard]] const std::vector<Pfn>& dirty() const { return dirty_; }
-  [[nodiscard]] const std::vector<Hash128>& digests() const {
-    return digests_;
-  }
+  [[nodiscard]] std::span<Hash128> digests() { return digests_; }
+  [[nodiscard]] UndoLog& undo() { return undo_; }
   [[nodiscard]] const VcpuState& vcpu_at_checkpoint() const { return vcpu_; }
 
  private:
@@ -100,16 +102,14 @@ class CowCheckpointer {
   Vm* primary_;
   Vm* backup_;
   const CostModel* costs_;
-  const CheckpointConfig* config_;
-  ThreadPool* pool_;
 
   bool active_ = false;
-  bool want_digests_ = false;
   std::vector<Pfn> dirty_;
   std::unordered_map<Pfn, std::size_t> slot_of_;  // pfn -> index in dirty_
   std::vector<Hash128> digests_;                  // parallel to dirty_
   std::vector<bool> touched_;                     // parallel to dirty_
-  std::vector<Page> undo_;  // backup bytes before this drain (may be empty)
+  std::vector<Pfn> untouched_;
+  UndoLog undo_;  // backup bytes this drain overwrote, before it did
   VcpuState vcpu_;
   std::size_t first_touches_ = 0;
   Nanos first_touch_cost_{0};

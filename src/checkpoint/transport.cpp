@@ -4,6 +4,7 @@
 #include "common/thread_pool.h"
 #include "fault/fault_injector.h"
 #include "machine/page.h"
+#include "store/page_store.h"
 
 #include <algorithm>
 #include <array>
@@ -15,18 +16,6 @@ namespace crimes {
 
 bool Transport::copy_attempt_fails() const {
   return faults_ != nullptr && faults_->transport_copy_fails();
-}
-
-void Transport::maybe_tear(ForeignMapping& backup,
-                           std::span<const Pfn> dirty) const {
-  if (faults_ == nullptr || dirty.empty()) return;
-  if (!faults_->tears_backup_write()) return;
-  const Pfn victim = dirty[faults_->torn_victim(dirty.size())];
-  Page& page = backup.page(victim);
-  const std::size_t offset = (victim.value() * 64) % (kPageSize - 64);
-  for (std::size_t i = 0; i < 64; ++i) {
-    page.data[offset + i] ^= std::byte{0x5A};
-  }
 }
 
 namespace {
@@ -58,51 +47,58 @@ std::size_t MemcpyTransport::effective_shards(std::size_t pages) const {
 }
 
 Nanos MemcpyTransport::copy(ForeignMapping& primary, ForeignMapping& backup,
-                            std::span<const Pfn> dirty) {
+                            std::span<const Pfn> dirty,
+                            std::span<Hash128> digests) {
+  const bool fused = !digests.empty();
+  const Nanos per_page =
+      costs_->copy_memcpy_per_page +
+      (fused ? costs_->cow_fused_hash_per_page : Nanos{0});
+  const auto copy_page = [fused, digests](std::size_t i, Page& to,
+                                          const Page& from) {
+    if (fused) {
+      digests[i] = store::copy_page_digest(to, from);
+    } else {
+      std::memcpy(to.data.data(), from.data.data(), kPageSize);
+    }
+  };
   if (copy_attempt_fails()) {
     // The attempt aborts mid-stream: half the pages really land in the
-    // backup (leaving it torn until the Checkpointer retries or restores
-    // its undo log), and the wasted work is billed via the exception.
+    // backup (leaving it torn until the caller retries or restores its
+    // undo log), and the wasted work is billed via the exception.
     const std::size_t done = dirty.size() / 2;
-    for (const Pfn pfn : dirty.subspan(0, done)) {
-      std::memcpy(backup.page(pfn).data.data(), primary.peek(pfn).data.data(),
-                  kPageSize);
+    for (std::size_t i = 0; i < done; ++i) {
+      copy_page(i, backup.page(dirty[i]), primary.peek(dirty[i]));
     }
-    throw fault::TransportFault(costs_->copy_memcpy_per_page * done);
+    throw fault::TransportFault(per_page * done);
   }
   const std::size_t shards = effective_shards(dirty.size());
   if (shards <= 1) {
-    for (const Pfn pfn : dirty) {
-      std::memcpy(backup.page(pfn).data.data(), primary.peek(pfn).data.data(),
-                  kPageSize);
+    for (std::size_t i = 0; i < dirty.size(); ++i) {
+      copy_page(i, backup.page(dirty[i]), primary.peek(dirty[i]));
     }
-    maybe_tear(backup, dirty);
-    return costs_->copy_memcpy_per_page * dirty.size();
+    return per_page * dirty.size();
   }
 
   // Gather pass, serial: mutable backup access materializes lazily
   // allocated frames from the shared machine pool, which must not race.
   // Frames are stable once handed out, so the collected pointers survive
   // the parallel pass.
-  std::vector<std::pair<std::byte*, const std::byte*>> pages;
-  pages.reserve(dirty.size());
+  frames_.clear();
   for (const Pfn pfn : dirty) {
-    pages.emplace_back(backup.page(pfn).data.data(),
-                       primary.peek(pfn).data.data());
+    frames_.emplace_back(&backup.page(pfn), &primary.peek(pfn));
   }
 
-  // Copy pass: dirty PFNs are unique and map to disjoint frames, so the
-  // shards share nothing -- no locks on the suspended-window path.
+  // Copy pass: dirty PFNs are unique and map to disjoint frames (and
+  // digest slots), so the shards share nothing -- no locks on the
+  // suspended-window path.
   pool_->parallel_for_shards(
-      pages.size(), shards,
-      [&pages](std::size_t, std::size_t begin, std::size_t end) {
+      frames_.size(), shards,
+      [this, &copy_page](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          std::memcpy(pages[i].first, pages[i].second, kPageSize);
+          copy_page(i, *frames_[i].first, *frames_[i].second);
         }
       });
-  maybe_tear(backup, dirty);
-  return costs_->parallel_shard_cost(costs_->copy_memcpy_per_page,
-                                     dirty.size(), shards);
+  return costs_->parallel_shard_cost(per_page, dirty.size(), shards);
 }
 
 namespace rle {
@@ -321,7 +317,6 @@ Nanos SocketTransport::copy_gather(ForeignMapping& primary,
   if (aborts) {
     throw fault::TransportFault(costs_->copy_socket_gather_per_page * applied);
   }
-  maybe_tear(backup, dirty);
   return costs_->copy_socket_gather_per_page * dirty.size();
 }
 
@@ -358,7 +353,6 @@ Nanos SocketTransport::copy(ForeignMapping& primary, ForeignMapping& backup,
     // backup torn, as on a dropped Remus connection.
     throw fault::TransportFault(costs_->copy_socket_per_page * applied);
   }
-  maybe_tear(backup, dirty);
   return costs_->copy_socket_per_page * dirty.size();
 }
 
@@ -409,7 +403,6 @@ Nanos CompressedSocketTransport::copy_gather(ForeignMapping& primary,
     throw fault::TransportFault(costs_->copy_compress_gather_per_page *
                                 applied);
   }
-  maybe_tear(backup, dirty);
   return costs_->copy_compress_gather_per_page * dirty.size() +
          Nanos{static_cast<std::int64_t>(
              static_cast<double>(epoch_wire) *
@@ -466,7 +459,6 @@ Nanos CompressedSocketTransport::copy(ForeignMapping& primary,
   if (aborts) {
     throw fault::TransportFault(costs_->copy_compress_per_page * applied);
   }
-  maybe_tear(backup, dirty);
 
   // CPU to build/apply deltas plus wire time proportional to what was
   // actually sent.

@@ -14,6 +14,12 @@
 // Either way the backup image ends up byte-identical -- a property the test
 // suite asserts for every transport/optimization combination.
 //
+// A transport only moves bytes, and under fault injection it may abort
+// mid-stream. Everything that makes a backup write atomic -- the undo log,
+// the torn-write fault site, verification and retries -- lives in the
+// Checkpointer's one copy loop, which drives stop-copy and the CoW drain
+// alike.
+//
 // Parallel engine: MemcpyTransport can shard the dirty-PFN list across a
 // worker pool. Dirty frames are disjoint (one PFN maps to one machine
 // frame, and a PFN appears once in the list), so the concurrent memcpys
@@ -22,11 +28,13 @@
 #pragma once
 
 #include "common/cost_model.h"
+#include "common/hash.h"
 #include "common/types.h"
 #include "hypervisor/foreign_mapping.h"
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace crimes {
@@ -44,12 +52,10 @@ class Transport {
   // Copies `dirty` pages from primary to backup. Returns the virtual-time
   // cost of the copy phase.
   //
-  // Under fault injection a copy may abort mid-stream (throwing
-  // fault::TransportFault after really copying a prefix of the pages --
-  // the backup is left torn, exactly like an interrupted Remus epoch) or
-  // complete but corrupt one backup page (a torn write the caller only
-  // catches by verifying checksums). The Checkpointer owns the
-  // undo-log/retry machinery that restores the atomic-apply invariant.
+  // Under fault injection a copy may abort mid-stream, throwing
+  // fault::TransportFault after really copying a prefix of the pages: the
+  // backup is left torn, exactly like an interrupted Remus epoch, until the
+  // caller's copy loop retries or restores its undo log.
   virtual Nanos copy(ForeignMapping& primary, ForeignMapping& backup,
                      std::span<const Pfn> dirty) = 0;
 
@@ -70,9 +76,6 @@ class Transport {
  protected:
   // True when the injector says this copy attempt aborts mid-stream.
   [[nodiscard]] bool copy_attempt_fails() const;
-  // Applies a torn write when the plan says so: one already-copied backup
-  // page gets a 64-byte stripe of its fresh contents flipped.
-  void maybe_tear(ForeignMapping& backup, std::span<const Pfn> dirty) const;
 
   fault::FaultInjector* faults_ = nullptr;
   bool zero_copy_ = false;
@@ -90,7 +93,15 @@ class MemcpyTransport final : public Transport {
   static constexpr std::size_t kMinPagesPerShard = 16;
 
   Nanos copy(ForeignMapping& primary, ForeignMapping& backup,
-             std::span<const Pfn> dirty) override;
+             std::span<const Pfn> dirty) override {
+    return copy(primary, backup, dirty, {});
+  }
+  // The same copy with each page's store digest fused into it (one sweep
+  // per page, store::copy_page_digest): digests[i] receives dirty[i]'s, at
+  // cow_fused_hash_per_page more per page. An empty `digests` is the plain
+  // copy.
+  Nanos copy(ForeignMapping& primary, ForeignMapping& backup,
+             std::span<const Pfn> dirty, std::span<Hash128> digests);
   [[nodiscard]] const char* name() const override { return "memcpy"; }
 
   // Shard count the next copy of `pages` dirty pages would use (1 =
@@ -101,6 +112,7 @@ class MemcpyTransport final : public Transport {
   const CostModel* costs_;
   ThreadPool* pool_;
   std::size_t shards_;
+  std::vector<std::pair<Page*, const Page*>> frames_;  // parallel gather
 };
 
 class SocketTransport final : public Transport {

@@ -6,8 +6,8 @@
 #include "telemetry/telemetry.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace crimes::replication {
 
@@ -81,11 +81,14 @@ Replicator::SendResult Replicator::on_commit(std::uint64_t generation,
   entry.generation = generation;
   entry.root = root;
   entry.prior_vcpu = standby_->vcpu();
-  entry.undo.reserve(dirty.size());
+  if (!spare_undo_.empty()) {
+    entry.undo = std::move(spare_undo_.back());
+    spare_undo_.pop_back();
+  }
   {
     ForeignMapping src{*source_};
     ForeignMapping dst{*standby_};
-    for (const Pfn pfn : dirty) entry.undo.emplace_back(pfn, dst.peek(pfn));
+    for (const Pfn pfn : dirty) entry.undo.capture(dst, pfn);
     // The real byte movement, through the real Remus socket path (cipher,
     // and optionally XOR-delta + RLE against the standby's stale copy).
     const Nanos transfer = transport_->copy(src, dst, dirty);
@@ -160,9 +163,15 @@ void Replicator::advance(Nanos now) {
     acked_through_ = window_.front().generation;
     received_base_ = window_.front().generation;
     base_root_ = window_.front().root;
+    recycle(window_.front().undo);
     window_.pop_front();
   }
   update_lag_gauge();
+}
+
+void Replicator::recycle(UndoLog& undo) {
+  undo.clear();
+  spare_undo_.push_back(std::move(undo));
 }
 
 std::uint64_t Replicator::received_through(Nanos now) const {
@@ -197,15 +206,13 @@ Nanos Replicator::rollback_unreceived(Nanos now, std::size_t* generations,
   while (!window_.empty() &&
          (window_.back().lost || window_.back().recv_at > now)) {
     InFlight& entry = window_.back();
-    for (auto it = entry.undo.rbegin(); it != entry.undo.rend(); ++it) {
-      std::memcpy(dst.page(it->first).data.data(), it->second.data.data(),
-                  kPageSize);
-    }
+    entry.undo.restore(dst);
     standby_->vcpu() = entry.prior_vcpu;
     cost += costs_->replication_apply_per_page * entry.undo.size() +
             costs_->replication_frame;
     if (generations != nullptr) ++*generations;
     if (pages != nullptr) *pages += entry.undo.size();
+    recycle(entry.undo);
     window_.pop_back();
   }
   // Trust rewinds with the bytes: the chain re-anchors at the newest
@@ -226,6 +233,7 @@ Replicator::DrainReport Replicator::drain(Nanos now) {
   while (!window_.empty()) {
     received_base_ = window_.front().generation;
     base_root_ = window_.front().root;
+    recycle(window_.front().undo);
     window_.pop_front();
   }
   report.received_through = received_base_;

@@ -17,10 +17,14 @@
 // prior bytes + vCPU). A link partition or a promotion rolls back exactly
 // the generations whose receive instant lies beyond the cut, restoring the
 // invariant that the standby image equals its last fully received
-// generation -- the only state failover may promote.
+// generation -- the only state failover may promote. A generation that
+// leaves the window (acked, rolled back or drained) hands its undo log to
+// the next one, so a steady stream reuses `window` logs instead of
+// allocating one per generation.
 #pragma once
 
 #include "checkpoint/transport.h"
+#include "checkpoint/undo_log.h"
 #include "common/cost_model.h"
 #include "common/sim_clock.h"
 #include "crypto/attestation_chain.h"
@@ -31,7 +35,6 @@
 #include <deque>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace crimes::telemetry {
@@ -157,9 +160,12 @@ class Replicator {
     Nanos ack_at{0};   // ack back at the primary
     bool ack_lost = false;  // partition cut the ack path
     bool lost = false;      // partition cut the data path; must roll back
-    std::vector<std::pair<Pfn, Page>> undo;  // standby bytes before apply
+    UndoLog undo;  // standby bytes before apply
     VcpuState prior_vcpu;
   };
+
+  // Keeps a retired generation's undo log for the next one to reuse.
+  void recycle(UndoLog& undo);
 
   // Rolls back the window's suffix whose recv_at > `now` (newest first).
   // Returns the standby-side cost; fills the counters when given.
@@ -174,6 +180,7 @@ class Replicator {
   std::unique_ptr<Transport> transport_;
 
   std::deque<InFlight> window_;
+  std::vector<UndoLog> spare_undo_;  // cleared logs of retired generations
   std::uint64_t acked_through_;
   std::uint64_t received_base_;  // newest generation applied & kept
   Nanos link_busy_until_{0};

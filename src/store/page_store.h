@@ -31,8 +31,8 @@ inline constexpr std::uint64_t kZeroDigest = 0;
 
 // A page's digest from one hash128 pass: `lo` is its key (manifests, the
 // entry map, the attestation fold) and `hi` its collision check. Callers
-// that hash while they copy (the CoW drain) key the result with
-// as_page_digest; page_digest does the same for a page at rest.
+// that hash while they copy key the result with as_page_digest (see
+// copy_page_digest); page_digest does the same for a page at rest.
 [[nodiscard]] constexpr Hash128 as_page_digest(Hash128 h) {
   // Remap the (absurdly unlikely) key that lands on the sentinel onto an
   // arbitrary fixed value.
@@ -41,6 +41,12 @@ inline constexpr std::uint64_t kZeroDigest = 0;
 }
 [[nodiscard]] inline Hash128 page_digest(const Page& page) {
   return as_page_digest(hash128(page.bytes()));
+}
+// Copies `src` into `dst` and returns the copy's page_digest from the same
+// loads (the fused copy of the CoW drain and its first-touch handler).
+[[nodiscard]] inline Hash128 copy_page_digest(Page& dst, const Page& src) {
+  return as_page_digest(copy_and_hash(dst.data.data(), src.data.data(),
+                                      kPageSize));
 }
 
 struct PageStoreStats {

@@ -2,6 +2,7 @@
 // after every committed epoch the backup image is byte-identical to the
 // primary at suspend time, for every transport/optimization combination.
 #include "checkpoint/checkpointer.h"
+#include "checkpoint/undo_log.h"
 #include "common/rng.h"
 #include "test_helpers.h"
 
@@ -217,25 +218,73 @@ TEST(Checkpointer, ClockAdvancesByPauseTime) {
   EXPECT_EQ(clock.now() - before, result.costs.pause_total());
 }
 
-TEST(Checkpointer, HistoryExtensionKeepsBoundedRing) {
-  TestGuest guest;
-  SimClock clock;
-  CheckpointConfig config = CheckpointConfig::full();
-  config.history_capacity = 2;
-  Checkpointer cp(guest.hypervisor, *guest.vm, clock, CostModel::defaults(),
-                  config);
-  cp.initialize();
-  Rng rng(5);
-  for (int i = 0; i < 4; ++i) {
-    scribble(*guest.kernel, rng, 20);
-    (void)cp.run_checkpoint({});
+// A small image for the UndoLog tests; never-written frames stay unbacked.
+struct UndoImage {
+  Hypervisor hypervisor{1u << 12};
+  Vm& vm = hypervisor.create_domain("undo-image", 16);
+  ForeignMapping map{vm};
+
+  void fill(Pfn pfn, std::uint8_t value) {
+    map.page(pfn).data.fill(std::byte{value});
   }
-  EXPECT_EQ(cp.history().size(), 2u);
-  EXPECT_LT(cp.history()[0].taken_at, cp.history()[1].taken_at);
-  // Latest history snapshot equals the current backup.
-  const Snapshot& latest = cp.history().back();
-  for (std::size_t i = 0; i < cp.backup().page_count(); ++i) {
-    ASSERT_EQ(latest.pages[i], cp.backup().page(Pfn{i}));
+  static Page filled(std::uint8_t value) {
+    Page page;
+    page.data.fill(std::byte{value});
+    return page;
+  }
+};
+
+TEST(UndoLog, RoundTripRestoresCapturedBytesAndZeroesNeverBackedFrames) {
+  UndoImage image;
+  image.fill(Pfn{1}, 0x11);
+  image.fill(Pfn{2}, 0x22);
+  UndoLog undo;
+  for (const Pfn pfn : {Pfn{1}, Pfn{2}, Pfn{3}}) undo.capture(image.map, pfn);
+  EXPECT_EQ(undo.size(), 3u);
+  EXPECT_FALSE(image.map.is_backed(Pfn{3}));  // capture never materializes
+
+  for (const Pfn pfn : {Pfn{1}, Pfn{2}, Pfn{3}, Pfn{4}}) image.fill(pfn, 0xFF);
+  undo.restore(image.map);
+  EXPECT_EQ(image.map.peek(Pfn{1}), UndoImage::filled(0x11));
+  EXPECT_EQ(image.map.peek(Pfn{2}), UndoImage::filled(0x22));
+  EXPECT_EQ(image.map.peek(Pfn{3}), Page{});  // never backed: zeroes
+  EXPECT_EQ(image.map.peek(Pfn{4}), UndoImage::filled(0xFF));  // not captured
+}
+
+TEST(UndoLog, PfnCapturedTwiceRestoresToItsOldestBytes) {
+  UndoImage image;
+  UndoLog undo;
+  image.fill(Pfn{5}, 0xA1);
+  undo.capture(image.map, Pfn{5});
+  image.fill(Pfn{5}, 0xA2);
+  undo.capture(image.map, Pfn{5});
+  image.fill(Pfn{5}, 0xA3);
+  undo.restore(image.map);
+  EXPECT_EQ(image.map.peek(Pfn{5}), UndoImage::filled(0xA1));
+}
+
+TEST(UndoLog, ReusedAfterClearRestoresOnlyItsOwnPages) {
+  UndoImage image;
+  UndoLog undo;
+  for (std::size_t i = 0; i < 8; ++i) {
+    image.fill(Pfn{i}, static_cast<std::uint8_t>(0x10 + i));
+    undo.capture(image.map, Pfn{i});
+  }
+  undo.clear();
+  EXPECT_EQ(undo.size(), 0u);
+
+  // The second use is smaller than the first: only its own two pages may
+  // come back, never the stale captures still sitting in the arena.
+  image.fill(Pfn{2}, 0x52);
+  image.fill(Pfn{3}, 0x53);
+  undo.capture(image.map, Pfn{2});
+  undo.capture(image.map, Pfn{3});
+  for (std::size_t i = 0; i < 8; ++i) image.fill(Pfn{i}, 0xEE);
+  undo.restore(image.map);
+  EXPECT_EQ(undo.size(), 2u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::uint8_t want = i == 2 ? 0x52 : i == 3 ? 0x53 : 0xEE;
+    EXPECT_EQ(image.map.peek(Pfn{i}), UndoImage::filled(want)) << "pfn " << i;
   }
 }
 

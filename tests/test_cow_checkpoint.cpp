@@ -200,58 +200,72 @@ TEST(CowCheckpoint, RollbackBarriersOnPendingDrain) {
 TEST(CowCheckpoint, FaultStormStaysByteIdenticalOrRestoresUntorn) {
   // Both twins run under the same deterministic fault plan: transport
   // aborts and torn writes confined to epochs [1, 5). The CoW drain must
-  // retry through them exactly like stop-copy's copy loop -- and when the
-  // epoch commits, the images must still match bit for bit.
-  fault::FaultPlan plan;
-  plan.seed = 21;
-  plan.transport_copy_fail = 0.4;
-  plan.torn_write = 0.3;
-  plan.from_epoch = 1;
-  plan.until_epoch = 5;
-  fault::FaultInjector stop_faults(plan);
-  fault::FaultInjector cow_faults(plan);
+  // retry through them exactly like stop-copy's copy loop -- drawing the
+  // same faults, idle epochs included -- and when the epoch commits, the
+  // images must still match bit for bit.
+  for (const int idle_every : {0, 3}) {
+    SCOPED_TRACE(idle_every == 0 ? "every epoch writes"
+                                 : "every third epoch idle");
+    fault::FaultPlan plan;
+    plan.seed = 21;
+    plan.transport_copy_fail = 0.4;
+    plan.torn_write = 0.3;
+    plan.from_epoch = 1;
+    plan.until_epoch = 5;
+    fault::FaultInjector stop_faults(plan);
+    fault::FaultInjector cow_faults(plan);
 
-  Twins twins;
-  twins.stop_cp.set_fault_injector(&stop_faults);
-  twins.cow_cp.set_fault_injector(&cow_faults);
+    Twins twins;
+    twins.stop_cp.set_fault_injector(&stop_faults);
+    twins.cow_cp.set_fault_injector(&cow_faults);
 
-  Rng stop_rng(23), cow_rng(23);
-  std::size_t commits = 0;
-  for (int epoch = 0; epoch < 7; ++epoch) {
-    stop_faults.begin_epoch(epoch);
-    cow_faults.begin_epoch(epoch);
-    scribble(*twins.stop.kernel, stop_rng, 200);
-    scribble(*twins.cow.kernel, cow_rng, 200);
-
-    const std::vector<Page> clean = snapshot(twins.cow_cp.backup());
-    const EpochResult stop_result = twins.stop_cp.run_checkpoint({});
-    (void)twins.cow_cp.run_checkpoint({});
-    const CowCommit commit = twins.cow_cp.complete_cow_drain();
-
-    // Identical fault decisions, identical outcome.
-    EXPECT_EQ(commit.committed, stop_result.checkpoint_committed)
-        << "epoch " << epoch;
-    if (commit.committed) {
-      ++commits;
-      EXPECT_TRUE(images_identical(twins.stop_cp.backup(),
-                                   twins.cow_cp.backup()))
-          << "epoch " << epoch;
-    } else {
-      // Retries exhausted: the backup must be restored untorn to the
-      // previous clean checkpoint, and the dirty set re-marked.
-      const std::vector<Page> after = snapshot(twins.cow_cp.backup());
-      for (std::size_t i = 0; i < after.size(); ++i) {
-        ASSERT_EQ(after[i], clean[i]) << "pfn " << i;
+    Rng stop_rng(23), cow_rng(23);
+    std::size_t commits = 0;
+    for (int epoch = 0; epoch < 7; ++epoch) {
+      stop_faults.begin_epoch(epoch);
+      cow_faults.begin_epoch(epoch);
+      const bool idle = idle_every != 0 && epoch % idle_every == 2;
+      if (!idle) {
+        scribble(*twins.stop.kernel, stop_rng, 200);
+        scribble(*twins.cow.kernel, cow_rng, 200);
       }
-      EXPECT_GT(twins.cow.vm->dirty_bitmap().dirty_count(), 0u);
+
+      const std::vector<Page> clean = snapshot(twins.cow_cp.backup());
+      const EpochResult stop_result = twins.stop_cp.run_checkpoint({});
+      (void)twins.cow_cp.run_checkpoint({});
+      const CowCommit commit = twins.cow_cp.complete_cow_drain();
+
+      // Identical fault decisions, identical outcome.
+      for (const fault::FaultKind kind :
+           {fault::FaultKind::TransportCopy, fault::FaultKind::TornWrite}) {
+        EXPECT_EQ(cow_faults.injected(kind), stop_faults.injected(kind))
+            << fault::to_string(kind) << ", epoch " << epoch;
+      }
+      EXPECT_EQ(commit.committed, stop_result.checkpoint_committed)
+          << "epoch " << epoch;
+      if (commit.committed) {
+        ++commits;
+        EXPECT_TRUE(images_identical(twins.stop_cp.backup(),
+                                     twins.cow_cp.backup()))
+            << "epoch " << epoch;
+      } else {
+        // Retries exhausted: the backup must be restored untorn to the
+        // previous clean checkpoint, and the dirty set re-marked.
+        const std::vector<Page> after = snapshot(twins.cow_cp.backup());
+        for (std::size_t i = 0; i < after.size(); ++i) {
+          ASSERT_EQ(after[i], clean[i]) << "pfn " << i;
+        }
+        EXPECT_EQ(twins.cow.vm->dirty_bitmap().dirty_count(),
+                  stop_result.dirty.size());
+      }
     }
+    // The window closes at epoch 5; the tail epochs must commit and
+    // reconverge the images.
+    EXPECT_GT(commits, 0u);
+    EXPECT_TRUE(images_identical(twins.stop_cp.backup(),
+                                 twins.cow_cp.backup()));
+    EXPECT_TRUE(images_identical(*twins.stop.vm, *twins.cow.vm));
   }
-  // The window closes at epoch 5; the tail epochs must commit and
-  // reconverge the images.
-  EXPECT_GT(commits, 0u);
-  EXPECT_TRUE(images_identical(twins.stop_cp.backup(),
-                               twins.cow_cp.backup()));
-  EXPECT_TRUE(images_identical(*twins.stop.vm, *twins.cow.vm));
 }
 
 TEST(CowCheckpoint, MidDrainFaultWithFirstTouchesRestoresUntorn) {
@@ -299,55 +313,66 @@ TEST(CowCheckpoint, MidDrainFaultWithFirstTouchesRestoresUntorn) {
 }
 
 TEST(CowCheckpoint, FailoverMidDrainPromotesLastCommittedCheckpoint) {
-  TestGuest guest;
-  SimClock clock;
-  CheckpointConfig config = CheckpointConfig::cow();
-  config.verify_backup = true;  // capture the undo log for abandon()
-  Checkpointer cp(guest.hypervisor, *guest.vm, clock, CostModel::defaults(),
-                  config);
-  cp.initialize();
+  // The first-touch handler saves every page it overwrites into the undo
+  // log whatever the config, so abandon() restores the committed image
+  // with or without a failure path (fault injection or verify_backup).
+  for (const bool verify : {false, true}) {
+    SCOPED_TRACE(verify ? "verify_backup" : "default cow()");
+    TestGuest guest;
+    SimClock clock;
+    CheckpointConfig config = CheckpointConfig::cow();
+    config.verify_backup = verify;
+    Checkpointer cp(guest.hypervisor, *guest.vm, clock,
+                    CostModel::defaults(), config);
+    cp.initialize();
 
-  Rng rng(31);
-  scribble(*guest.kernel, rng, 100);
-  (void)cp.run_checkpoint({});
-  (void)cp.complete_cow_drain();
-  const std::vector<Page> committed = snapshot(cp.backup());
+    Rng rng(31);
+    scribble(*guest.kernel, rng, 100);
+    (void)cp.run_checkpoint({});
+    (void)cp.complete_cow_drain();
+    const std::vector<Page> committed = snapshot(cp.backup());
 
-  scribble(*guest.kernel, rng, 100);
-  (void)cp.run_checkpoint({});  // drain pending
-  scribble(*guest.kernel, rng, 150);  // first touches pollute the backup
+    scribble(*guest.kernel, rng, 100);
+    (void)cp.run_checkpoint({});  // drain pending
+    scribble(*guest.kernel, rng, 150);  // first touches pollute the backup
 
-  // The primary host dies mid-drain: the drain can never finish.
-  guest.hypervisor.destroy_domain(guest.vm->id());
-  Vm& promoted = cp.failover();
-  EXPECT_EQ(promoted.state(), VmState::Running);
-  for (std::size_t i = 0; i < promoted.page_count(); ++i) {
-    ASSERT_EQ(promoted.page(Pfn{i}), committed[i]) << "pfn " << i;
+    // The primary host dies mid-drain: the drain can never finish.
+    guest.hypervisor.destroy_domain(guest.vm->id());
+    Vm& promoted = cp.failover();
+    EXPECT_EQ(promoted.state(), VmState::Running);
+    for (std::size_t i = 0; i < promoted.page_count(); ++i) {
+      ASSERT_EQ(promoted.page(Pfn{i}), committed[i]) << "pfn " << i;
+    }
   }
 }
 
 TEST(CowCheckpoint, FusedDigestsMatchStoreDigests) {
   // The fused copy+hash must reproduce store::page_digest exactly -- the
-  // store's dedup keys on it.
-  TestGuest guest;
-  SimClock clock;
-  CheckpointConfig config = CheckpointConfig::cow();
-  config.store.enabled = true;
-  Checkpointer cp(guest.hypervisor, *guest.vm, clock, CostModel::defaults(),
-                  config);
-  cp.initialize();
+  // store's dedup keys on it -- on the serial and the sharded drain.
+  for (const std::size_t threads : {0, 4}) {
+    SCOPED_TRACE(threads);
+    TestGuest guest;
+    SimClock clock;
+    CheckpointConfig config = CheckpointConfig::cow();
+    config.copy_threads = threads;
+    config.store.enabled = true;
+    Checkpointer cp(guest.hypervisor, *guest.vm, clock,
+                    CostModel::defaults(), config);
+    cp.initialize();
 
-  Rng rng(37);
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    scribble(*guest.kernel, rng, 150);
-    const EpochResult result = cp.run_checkpoint({});
-    (void)cp.complete_cow_drain();
-    ASSERT_NE(cp.store(), nullptr);
-    const auto& chain = cp.store()->chain();
-    for (const Pfn pfn : result.dirty) {
-      EXPECT_EQ(chain.digest_at(chain.size() - 1, pfn),
-                store::page_digest(cp.backup().page(pfn)).lo)
-          << "pfn " << pfn.value();
+    Rng rng(37);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      scribble(*guest.kernel, rng, 150);
+      const EpochResult result = cp.run_checkpoint({});
+      (void)cp.complete_cow_drain();
+      ASSERT_NE(cp.store(), nullptr);
+      const auto& chain = cp.store()->chain();
+      for (const Pfn pfn : result.dirty) {
+        EXPECT_EQ(chain.digest_at(chain.size() - 1, pfn),
+                  store::page_digest(cp.backup().page(pfn)).lo)
+            << "pfn " << pfn.value();
+      }
+      EXPECT_TRUE(images_identical(*guest.vm, cp.backup()));
     }
   }
 }

@@ -339,39 +339,89 @@ TEST(Replicator, PartitionRollsBackUnreceivedGenerationsOnDrain) {
   config.enabled = true;
   config.window = 4;
   TwinImages twins;
-  const VcpuState seed_vcpu = twins.dst->vcpu();
-  twins.src->page(Pfn{1}).data.fill(std::byte{0xAA});
-  VcpuState vcpu;
-  vcpu.rip = 0x2000;
-  const std::vector<Pfn> dirty{Pfn{1}};
+
+  // The standby image each generation leaves behind.
+  struct Image {
+    std::vector<Page> pages;
+    VcpuState vcpu;
+  };
+  const auto image_of = [](const Vm& vm) {
+    Image image{{}, vm.vcpu()};
+    for (std::size_t i = 0; i < vm.page_count(); ++i) {
+      image.pages.push_back(vm.page(Pfn{i}));
+    }
+    return image;
+  };
+  // Both indexed by generation; generation 1 is the seed, 0 is unused.
+  std::vector<Image> images(2, image_of(*twins.dst));
+  std::vector<std::size_t> sizes(2, 0);
 
   Replicator replicator(costs, config, *twins.src, *twins.dst, 1);
-  (void)replicator.on_commit(2, dirty, vcpu, Nanos{0});
-  ASSERT_EQ(std::as_const(*twins.dst).page(Pfn{1}),
-            std::as_const(*twins.src).page(Pfn{1}));
-  // Not yet *received* on the virtual timeline.
-  EXPECT_EQ(replicator.received_through(Nanos{0}), 1u);
+  VcpuState vcpu;
+  Nanos now{0};
+  // Ships the next generation: `pages` distinct PFNs with fresh bytes.
+  const auto send = [&](std::size_t pages) {
+    const std::uint64_t generation = images.size();
+    std::vector<Pfn> dirty;
+    for (std::size_t k = 0; k < pages; ++k) {
+      const Pfn pfn{(generation * 5 + k * 3) % twins.src->page_count()};
+      twins.src->page(pfn).data.fill(
+          static_cast<std::byte>(generation * 16 + k));
+      dirty.push_back(pfn);
+    }
+    vcpu.rip = 0x1000 + generation;
+    const Replicator::SendResult sent =
+        replicator.on_commit(generation, dirty, vcpu, now);
+    images.push_back(image_of(*twins.dst));
+    sizes.push_back(pages);
+    return sent;
+  };
 
-  // The link partitions before the transfer lands: the generation's bytes
-  // never arrive, and later commits never leave the primary.
-  replicator.partition(micros(1));
+  // Generations of different sizes cycle the window several times over
+  // (each send stalls on the oldest ack once the window is full), so the
+  // undo logs are recycled between generations of different sizes.
+  for (std::size_t i = 0; i < 4 * config.window; ++i) {
+    const Replicator::SendResult sent = send(1 + (i * 7) % 13);
+    now += sent.stall + sent.charge;
+  }
+  ASSERT_GT(replicator.acked_through(), 1 + config.window);
+
+  // One more generation, and the link partitions before it lands: its
+  // bytes never arrive, and later commits never leave the primary.
+  const std::uint64_t last = images.size();
+  (void)send(20);
+  // Applied eagerly: the standby already holds it...
+  ASSERT_EQ(images[last].pages, image_of(*twins.src).pages);
+  // ...but has not *received* it on the virtual timeline.
+  EXPECT_LT(replicator.received_through(now), last);
+  replicator.partition(now + micros(1));
   EXPECT_TRUE(replicator.partitioned());
   const Replicator::SendResult dropped =
-      replicator.on_commit(3, dirty, vcpu, micros(2));
+      replicator.on_commit(last + 1, std::vector<Pfn>{Pfn{1}}, vcpu,
+                           now + micros(2));
   EXPECT_TRUE(dropped.dropped);
   EXPECT_EQ(replicator.generations_dropped(), 1u);
-  EXPECT_EQ(replicator.received_through(millis(100)), 1u);  // lost, not late
+  const std::uint64_t received = replicator.received_through(millis(100));
+  EXPECT_LT(received, last);  // lost, not late
 
-  const Replicator::DrainReport drain = replicator.drain(micros(3));
-  EXPECT_EQ(drain.received_through, 1u);
-  EXPECT_EQ(drain.rolled_back, 1u);
-  EXPECT_EQ(drain.pages_rolled_back, 1u);
+  const Replicator::DrainReport drain = replicator.drain(now + micros(3));
+  EXPECT_EQ(drain.received_through, received);
+  EXPECT_EQ(drain.rolled_back, last - received);
+  std::size_t unreceived_pages = 0;
+  for (std::uint64_t g = received + 1; g <= last; ++g) {
+    unreceived_pages += sizes[g];
+  }
+  EXPECT_EQ(drain.pages_rolled_back, unreceived_pages);
   EXPECT_GT(drain.cost.count(), 0);
   EXPECT_EQ(replicator.in_flight(), 0u);
-  // The standby is back at its seed: page bytes and vCPU both undone.
-  const Page zero{};
-  EXPECT_EQ(std::as_const(*twins.dst).page(Pfn{1}), zero);
-  EXPECT_EQ(twins.dst->vcpu(), seed_vcpu);
+  // The standby is back at the last received generation: page bytes and
+  // vCPU both undone.
+  const Image& want = images[received];
+  for (std::size_t i = 0; i < want.pages.size(); ++i) {
+    ASSERT_EQ(std::as_const(*twins.dst).page(Pfn{i}), want.pages[i])
+        << "pfn " << i;
+  }
+  EXPECT_EQ(twins.dst->vcpu(), want.vcpu);
 }
 
 TEST(Replicator, QuiesceReleasesTheWholeWindow) {
