@@ -92,7 +92,7 @@ void BM_Transport(benchmark::State& state) {
 
   const CostModel& costs = CostModel::defaults();
   MemcpyTransport mem(costs);
-  SocketTransport sock(costs);
+  SocketTransport sock(costs.copy_socket_per_page);
   Transport& transport =
       use_memcpy ? static_cast<Transport&>(mem) : sock;
   ForeignMapping src(primary), dst(backup);

@@ -23,6 +23,10 @@ navigates with a stale map. This script makes drift a test failure:
      its identifier must occur in the comment-stripped src/**/*.{h,cpp}
      more often than the config structs declare it. A documented knob
      that no code reads fails naming the knob.
+  7. No stale rows: every docs/TUNING.md table row that names a
+     `Struct.field` knob must name a field some config struct still
+     declares. Remove a knob and leave its row behind, and this gate
+     fails naming the row.
 
 Exit status: 0 when the docs cover the tree, 1 otherwise.
 """
@@ -171,6 +175,12 @@ def config_knobs(repo: pathlib.Path) -> list[str]:
     return knobs
 
 
+def documented_rows(tuning: str) -> list[str]:
+    """The `Struct.field` knobs named in the first cell of table rows."""
+    return re.findall(r"^\|\s*`([A-Za-z_]\w*\.[A-Za-z_]\w*)`\s*\|",
+                      tuning, flags=re.MULTILINE)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repo", type=pathlib.Path,
@@ -216,6 +226,11 @@ def main() -> None:
     unread = unread_knobs(repo, knobs)
     if unread:
         fail("knobs that no code under src/ reads: " + ", ".join(unread))
+    declared = set(knobs)
+    stale = [k for k in documented_rows(tuning) if k not in declared]
+    if stale:
+        fail("docs/TUNING.md documents knobs no config struct declares: "
+             + ", ".join(stale))
 
     print(f"check_docs: OK ({len(module_dirs(repo))} modules in DESIGN.md, "
           f"{len(sources)} benches in EXPERIMENTS.md, "

@@ -135,9 +135,10 @@ Checkpointer::Checkpointer(Hypervisor& hypervisor, Vm& primary,
     memcpy_ = transport.get();
     transport_ = std::move(transport);
   } else if (config_.compress) {
-    transport_ = std::make_unique<CompressedSocketTransport>(costs);
+    transport_ = std::make_unique<CompressedSocketTransport>(
+        costs.copy_compress_per_page, costs.copy_wire_per_byte);
   } else {
-    transport_ = std::make_unique<SocketTransport>(costs);
+    transport_ = std::make_unique<SocketTransport>(costs.copy_socket_per_page);
   }
 }
 

@@ -288,87 +288,49 @@ bool decode(std::span<const std::byte> encoded, std::span<std::byte> out) {
 
 }  // namespace rle
 
-Nanos SocketTransport::copy_gather(ForeignMapping& primary,
-                                   ForeignMapping& backup,
-                                   std::span<const Pfn> dirty) {
-  // Zero-copy framing: each record is an iovec referencing the source
-  // page; the cipher runs over a page-sized scratch (the NIC's bounce
-  // slot) instead of an epoch-sized staging buffer, with a per-record key
-  // standing in for the record nonce. The abort-at-half contract is
-  // preserved record by record.
+Nanos SocketTransport::copy(ForeignMapping& primary, ForeignMapping& backup,
+                            std::span<const Pfn> dirty) {
+  // Each {pfn, page} record is framed into a page-sized record buffer,
+  // enciphered onto the wire, deciphered by the receiver (the Remus
+  // "Restore" process) and applied, with a per-record key standing in for
+  // the record nonce. An aborted stream breaks after half the records.
   constexpr std::size_t kRecordSize = sizeof(std::uint64_t) + kPageSize;
   const std::uint64_t key = 0xC0FFEE ^ (dirty.empty() ? 0 : dirty[0].value());
   const bool aborts = copy_attempt_fails();
   const std::size_t applied = aborts ? dirty.size() / 2 : dirty.size();
-  std::array<std::byte, kRecordSize> record;
+  std::array<std::byte, kRecordSize> record{};
   for (std::size_t i = 0; i < applied; ++i) {
     const Pfn pfn = dirty[i];
-    std::span<std::byte> rec(record.data(), kRecordSize);
-    store_le<std::uint64_t>(rec, 0, pfn.value());
+    store_le<std::uint64_t>(record, 0, pfn.value());
     std::memcpy(record.data() + sizeof(std::uint64_t),
                 primary.peek(pfn).data.data(), kPageSize);
     const std::uint64_t rkey = key ^ (pfn.value() * 0x100000001B3ULL);
-    xor_keystream(rec, rkey);   // encrypt onto the wire...
+    xor_keystream(record, rkey);   // encrypt onto the wire...
     bytes_streamed_ += kRecordSize;
-    xor_keystream(rec, rkey);   // ...receiver decrypts...
+    xor_keystream(record, rkey);   // ...receiver decrypts...
     std::memcpy(backup.page(pfn).data.data(),    // ...and applies.
                 record.data() + sizeof(std::uint64_t), kPageSize);
   }
   if (aborts) {
-    throw fault::TransportFault(costs_->copy_socket_gather_per_page * applied);
-  }
-  return costs_->copy_socket_gather_per_page * dirty.size();
-}
-
-Nanos SocketTransport::copy(ForeignMapping& primary, ForeignMapping& backup,
-                            std::span<const Pfn> dirty) {
-  if (zero_copy_) return copy_gather(primary, backup, dirty);
-  constexpr std::size_t kRecordSize = sizeof(std::uint64_t) + kPageSize;
-  // Sender: serialize {pfn, page} records and encrypt them onto the wire.
-  wire_.resize(dirty.size() * kRecordSize);
-  std::size_t off = 0;
-  for (const Pfn pfn : dirty) {
-    store_le<std::uint64_t>(wire_, off, pfn.value());
-    std::memcpy(wire_.data() + off + sizeof(std::uint64_t),
-                primary.peek(pfn).data.data(), kPageSize);
-    off += kRecordSize;
-  }
-  const std::uint64_t key = 0xC0FFEE ^ (dirty.empty() ? 0 : dirty[0].value());
-  xor_keystream(wire_, key);
-  bytes_streamed_ += wire_.size();
-
-  // Receiver (the Remus "Restore" process): decrypt and apply.
-  xor_keystream(wire_, key);
-  const bool aborts = copy_attempt_fails();
-  const std::size_t applied = aborts ? dirty.size() / 2 : dirty.size();
-  off = 0;
-  for (std::size_t i = 0; i < applied; ++i) {
-    const Pfn pfn{load_le<std::uint64_t>(wire_, off)};
-    std::memcpy(backup.page(pfn).data.data(),
-                wire_.data() + off + sizeof(std::uint64_t), kPageSize);
-    off += kRecordSize;
-  }
-  if (aborts) {
     // The stream broke mid-epoch: the records already applied leave the
     // backup torn, as on a dropped Remus connection.
-    throw fault::TransportFault(costs_->copy_socket_per_page * applied);
+    throw fault::TransportFault(per_page_ * applied);
   }
-  return costs_->copy_socket_per_page * dirty.size();
+  return per_page_ * dirty.size();
 }
 
-Nanos CompressedSocketTransport::copy_gather(ForeignMapping& primary,
-                                             ForeignMapping& backup,
-                                             std::span<const Pfn> dirty) {
-  // Zero-copy framing for the compressed stream: the delta is built and
-  // RLE'd straight into a per-record buffer (referencing the primary and
-  // stale backup pages in place), ciphered, and applied -- no epoch-sized
-  // wire buffer between sender and receiver.
+Nanos CompressedSocketTransport::copy(ForeignMapping& primary,
+                                      ForeignMapping& backup,
+                                      std::span<const Pfn> dirty) {
+  // Sender: XOR each dirty page against the backup's stale copy and RLE
+  // the delta straight into a record; cipher it, and the receiver
+  // deciphers, decodes and XORs the delta back into its copy. Dirty PFNs
+  // are unique, so applying record i never changes record j's stale page.
   const std::uint64_t key = 0xDE17A ^ (dirty.empty() ? 0 : dirty[0].value());
   const bool aborts = copy_attempt_fails();
   const std::size_t applied = aborts ? dirty.size() / 2 : dirty.size();
-  std::uint64_t epoch_wire = 0;
+  std::uint64_t sent = 0;
   delta_.resize(kPageSize);
-  std::vector<std::byte> record;
   for (std::size_t i = 0; i < applied; ++i) {
     const Pfn pfn = dirty[i];
     const Page& fresh = primary.peek(pfn);
@@ -376,21 +338,19 @@ Nanos CompressedSocketTransport::copy_gather(ForeignMapping& primary,
     for (std::size_t b = 0; b < kPageSize; ++b) {
       delta_[b] = fresh.data[b] ^ stale.data[b];
     }
-    const std::vector<std::byte> encoded = rle::encode(delta_);
-    record.resize(12 + encoded.size());
-    store_le<std::uint64_t>(record, 0, pfn.value());
-    store_le<std::uint32_t>(record, 8,
-                            static_cast<std::uint32_t>(encoded.size()));
-    std::memcpy(record.data() + 12, encoded.data(), encoded.size());
+    const std::size_t encoded = rle::encoded_size(delta_);
+    record_.resize(12 + encoded);
+    store_le<std::uint64_t>(record_, 0, pfn.value());
+    store_le<std::uint32_t>(record_, 8, static_cast<std::uint32_t>(encoded));
+    rle::encode_to(delta_, std::span<std::byte>(record_).subspan(12));
     const std::uint64_t rkey = key ^ (pfn.value() * 0x100000001B3ULL);
-    xor_keystream(record, rkey);
+    xor_keystream(record_, rkey);
     raw_bytes_ += kPageSize;
-    wire_bytes_ += record.size();
-    epoch_wire += record.size();
-    xor_keystream(record, rkey);
-    if (!rle::decode(
-            std::span<const std::byte>(record).subspan(12, encoded.size()),
-            delta_)) {
+    wire_bytes_ += record_.size();
+    sent += record_.size();
+    xor_keystream(record_, rkey);
+    if (!rle::decode(std::span<const std::byte>(record_).subspan(12),
+                     delta_)) {
       throw std::runtime_error(
           "CompressedSocketTransport: corrupt wire record");
     }
@@ -399,73 +359,13 @@ Nanos CompressedSocketTransport::copy_gather(ForeignMapping& primary,
       dst.data[b] ^= delta_[b];
     }
   }
-  if (aborts) {
-    throw fault::TransportFault(costs_->copy_compress_gather_per_page *
-                                applied);
-  }
-  return costs_->copy_compress_gather_per_page * dirty.size() +
-         Nanos{static_cast<std::int64_t>(
-             static_cast<double>(epoch_wire) *
-             static_cast<double>(costs_->copy_wire_per_byte.count()))};
-}
-
-Nanos CompressedSocketTransport::copy(ForeignMapping& primary,
-                                      ForeignMapping& backup,
-                                      std::span<const Pfn> dirty) {
-  if (zero_copy_) return copy_gather(primary, backup, dirty);
-  // Sender: XOR each dirty page against the backup's stale copy, RLE the
-  // delta, stream the records.
-  wire_.clear();
-  delta_.resize(kPageSize);
-  for (const Pfn pfn : dirty) {
-    const Page& fresh = primary.peek(pfn);
-    const Page& stale = backup.peek(pfn);
-    for (std::size_t i = 0; i < kPageSize; ++i) {
-      delta_[i] = fresh.data[i] ^ stale.data[i];
-    }
-    const std::vector<std::byte> encoded = rle::encode(delta_);
-    const std::size_t base = wire_.size();
-    wire_.resize(base + 12 + encoded.size());
-    store_le<std::uint64_t>(wire_, base, pfn.value());
-    store_le<std::uint32_t>(wire_, base + 8,
-                            static_cast<std::uint32_t>(encoded.size()));
-    std::memcpy(wire_.data() + base + 12, encoded.data(), encoded.size());
-  }
-  const std::uint64_t key = 0xDE17A ^ (dirty.empty() ? 0 : dirty[0].value());
-  xor_keystream(wire_, key);
-  raw_bytes_ += dirty.size() * kPageSize;
-  wire_bytes_ += wire_.size();
-
-  // Receiver: decrypt, decode each delta, XOR into the backup page.
-  xor_keystream(wire_, key);
-  const bool aborts = copy_attempt_fails();
-  const std::size_t applied = aborts ? dirty.size() / 2 : dirty.size();
-  std::size_t off = 0;
-  for (std::size_t rec = 0; rec < applied; ++rec) {
-    const Pfn pfn{load_le<std::uint64_t>(wire_, off)};
-    const auto len = load_le<std::uint32_t>(wire_, off + 8);
-    off += 12;
-    if (!rle::decode(std::span<const std::byte>(wire_).subspan(off, len),
-                     delta_)) {
-      throw std::runtime_error(
-          "CompressedSocketTransport: corrupt wire record");
-    }
-    Page& dst = backup.page(pfn);
-    for (std::size_t i = 0; i < kPageSize; ++i) {
-      dst.data[i] ^= delta_[i];
-    }
-    off += len;
-  }
-  if (aborts) {
-    throw fault::TransportFault(costs_->copy_compress_per_page * applied);
-  }
-
+  if (aborts) throw fault::TransportFault(per_page_ * applied);
   // CPU to build/apply deltas plus wire time proportional to what was
   // actually sent.
-  return costs_->copy_compress_per_page * dirty.size() +
+  return per_page_ * dirty.size() +
          Nanos{static_cast<std::int64_t>(
-             static_cast<double>(wire_.size()) *
-             static_cast<double>(costs_->copy_wire_per_byte.count()))};
+             static_cast<double>(sent) *
+             static_cast<double>(wire_per_byte_.count()))};
 }
 
 }  // namespace crimes

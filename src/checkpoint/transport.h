@@ -1,8 +1,8 @@
 // Checkpoint transports: how dirty pages move from the primary VM into the
 // backup image.
 //
-// SocketTransport reproduces unmodified Remus: pages are serialized into a
-// stream, run through a stream cipher (Remus pipes checkpoints through ssh
+// SocketTransport reproduces unmodified Remus: pages are framed into
+// records, run through a stream cipher (Remus pipes checkpoints through ssh
 // even when the destination is local), "received" on the other side,
 // decrypted and applied. All of that work really happens, byte for byte.
 //
@@ -65,20 +65,11 @@ class Transport {
   // the calling thread before any parallel fan-out.
   void set_fault_injector(fault::FaultInjector* faults) { faults_ = faults; }
 
-  // Scatter-gather zero-copy framing: records reference the source pages
-  // via iovecs instead of staging the whole epoch into a wire buffer, so
-  // the per-page cost drops by the staging memcpy and no epoch-sized
-  // allocation happens. MemcpyTransport ignores the flag (it never
-  // staged); the socket transports switch to per-record framing.
-  void set_zero_copy(bool on) { zero_copy_ = on; }
-  [[nodiscard]] bool zero_copy() const { return zero_copy_; }
-
  protected:
   // True when the injector says this copy attempt aborts mid-stream.
   [[nodiscard]] bool copy_attempt_fails() const;
 
   fault::FaultInjector* faults_ = nullptr;
-  bool zero_copy_ = false;
 };
 
 class MemcpyTransport final : public Transport {
@@ -115,10 +106,18 @@ class MemcpyTransport final : public Transport {
   std::vector<std::pair<Page*, const Page*>> frames_;  // parallel gather
 };
 
+// The socket transports frame, cipher and apply one record at a time
+// through a page-sized record buffer: no epoch-sized staging buffer sits
+// between sender and receiver, and an abort leaves exactly the records
+// already applied (and counted) behind. Each owner prices a record: the
+// Checkpointer pays Remus's staged pipe (copy_socket_per_page,
+// copy_compress_per_page), the Replicator its scatter-gather link
+// (copy_socket_gather_per_page, copy_compress_gather_per_page).
 class SocketTransport final : public Transport {
  public:
-  explicit SocketTransport(const CostModel& costs) : costs_(&costs) {}
+  explicit SocketTransport(Nanos per_page) : per_page_(per_page) {}
 
+  // Wire record, per page: u64 pfn | 4096 page bytes.
   Nanos copy(ForeignMapping& primary, ForeignMapping& backup,
              std::span<const Pfn> dirty) override;
   [[nodiscard]] const char* name() const override { return "socket+ssh"; }
@@ -128,11 +127,7 @@ class SocketTransport final : public Transport {
   }
 
  private:
-  Nanos copy_gather(ForeignMapping& primary, ForeignMapping& backup,
-                    std::span<const Pfn> dirty);
-
-  const CostModel* costs_;
-  std::vector<std::byte> wire_;  // reused staging buffer ("the socket")
+  Nanos per_page_;
   std::uint64_t bytes_streamed_ = 0;
 };
 
@@ -148,8 +143,10 @@ class SocketTransport final : public Transport {
 // RLE stream: repeated (u16 zero_run, u16 literal_len, literal bytes).
 class CompressedSocketTransport final : public Transport {
  public:
-  explicit CompressedSocketTransport(const CostModel& costs)
-      : costs_(&costs) {}
+  // `per_page` is the CPU to build and apply one delta record;
+  // `wire_per_byte` prices the record bytes actually sent.
+  CompressedSocketTransport(Nanos per_page, Nanos wire_per_byte)
+      : per_page_(per_page), wire_per_byte_(wire_per_byte) {}
 
   Nanos copy(ForeignMapping& primary, ForeignMapping& backup,
              std::span<const Pfn> dirty) override;
@@ -167,12 +164,10 @@ class CompressedSocketTransport final : public Transport {
   }
 
  private:
-  Nanos copy_gather(ForeignMapping& primary, ForeignMapping& backup,
-                    std::span<const Pfn> dirty);
-
-  const CostModel* costs_;
-  std::vector<std::byte> wire_;
+  Nanos per_page_;
+  Nanos wire_per_byte_;
   std::vector<std::byte> delta_;
+  std::vector<std::byte> record_;
   std::uint64_t raw_bytes_ = 0;
   std::uint64_t wire_bytes_ = 0;
 };

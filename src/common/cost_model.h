@@ -68,11 +68,12 @@ struct CostModel {
   // plain socket cost; sparse deltas cost proportionally less.
   Nanos copy_compress_per_page = nanos(1500);
   Nanos copy_wire_per_byte = nanos(2);  // ~2.1 ns; stored integral
-  // Scatter-gather zero-copy framing (replication frames reference the
-  // store's pages via iovecs instead of staging the epoch into a wire
-  // buffer). Saves the staging memcpy and the epoch-sized allocation:
-  // socket records drop ~3 us of buffer assembly, compressed records the
-  // ~0.3 us delta-staging share of their CPU cost.
+  // The replication link's scatter-gather prices: its records reference
+  // the backup's pages via iovecs instead of passing through Remus's
+  // staged pipe, so socket records drop ~3 us of buffer assembly and
+  // compressed records the ~0.3 us delta-staging share of their CPU cost.
+  // The Replicator charges these; the Checkpointer's socket path keeps
+  // copy_socket_per_page / copy_compress_per_page.
   Nanos copy_socket_gather_per_page = nanos(7000);
   Nanos copy_compress_gather_per_page = nanos(1200);
 
@@ -160,9 +161,10 @@ struct CostModel {
   Nanos store_gc_per_page = nanos(120);
 
   // --- Standby replication & failover (DESIGN.md section 11). The
-  // replication link reuses the Remus socket path's per-page costs
-  // (copy_socket_per_page / copy_compress_per_page / copy_wire_per_byte);
-  // the constants below cover what the link adds on top.
+  // replication link moves pages at the gather prices above
+  // (copy_socket_gather_per_page / copy_compress_gather_per_page, plus
+  // copy_wire_per_byte when compressed); the constants below cover what
+  // the link adds on top.
   // One-way propagation to the standby host (LAN hop; acks pay it again
   // on the way back, so a generation's ack lags its send by transfer +
   // 2 x this).

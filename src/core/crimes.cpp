@@ -271,7 +271,7 @@ const RunSummary& Crimes::run(Nanos max_work_time) {
                         correlated ? "correlated-failover" : "");
       }
       kernel_->vm().pause();  // the whole host powers off
-      if (!failed_over_) fail_over(clock_.now());
+      if (!failed_over_) promote_standby(clock_.now(), /*primary_dead=*/true);
       break;
     }
     if (replicator_ && !failed_over_ && !promotion_refused_ &&
@@ -280,7 +280,8 @@ const RunSummary& Crimes::run(Nanos max_work_time) {
       // The standby has not heard a heartbeat for long enough to promote,
       // yet this primary is still running: the split-brain scenario.
       // Fencing -- not coordination -- keeps it safe.
-      split_brain_promote();
+      promote_standby(standby_->detector().last_arrival(),
+                      /*primary_dead=*/false);
     }
     CRIMES_TRACE_SPAN(trace, "epoch");
     const Nanos interval = current_interval();
@@ -371,62 +372,7 @@ const RunSummary& Crimes::run(Nanos max_work_time) {
     totals_.max_pause = std::max(totals_.max_pause, pause);
     pause_hist_.record(static_cast<std::uint64_t>(pause.count()));
 
-    if (epoch.cow_pending) {
-      // Resume-first checkpoint: the copy is still draining and commits at
-      // the next barrier. Stash the epoch's outputs *now* -- the buffer
-      // holds exactly this (audited) epoch's packets; by barrier time the
-      // next epoch's would have mixed in. The disk overlay cannot split
-      // its pending writes the same way, so the (audited) disk state
-      // commits here; a later drain failure keeps the packets held but
-      // accepts this epoch's disk writes -- the documented tradeoff.
-      cow_stash_.active = true;
-      cow_stash_.epoch = epoch;
-      cow_stash_.held = buffer_.take_all();
-      cow_stash_.resume_at = clock_.now();
-      cow_stash_.epoch_start = epoch_start;
-      disk_.commit_pending();
-      disk_checkpoint_ = disk_.snapshot_committed();
-      continue;
-    }
-
-    if (epoch.audit_passed) {
-      if (epoch.checkpoint_committed) {
-        ++totals_.checkpoints;
-        // Commit the speculative epoch: outputs may now leave the host --
-        // immediately when unreplicated; once the standby acknowledges
-        // (and the fencing lease still holds) when replication is on.
-        {
-          CRIMES_TRACE_SPAN(trace, "commit");
-          if (replicator_) {
-            replicate_commit(epoch, buffer_.take_all());
-          } else {
-            CRIMES_TRACE_SPAN(trace, "buffer_release");
-            buffer_.release_all(network_, clock_.now());
-          }
-          disk_.commit_pending();
-          disk_checkpoint_ = disk_.snapshot_committed();
-        }
-      } else {
-        // The copy/verify loop exhausted its retries: the backup was
-        // restored to the previous clean checkpoint, the dirty bitmap was
-        // retained (the next epoch's checkpoint carries these pages), and
-        // -- in Synchronous mode -- the audited outputs stay held until a
-        // checkpoint actually covers them. Best Effort already shipped.
-        ++totals_.checkpoint_failures;
-        dump_postmortem("checkpoint-retries-exhausted");
-      }
-
-      if (governor_ && apply_governor_action(
-                           governor_->on_epoch(epoch.checkpoint_committed))) {
-        break;
-      }
-      if (governor_ &&
-          governor_->state() == fault::GovernorState::Degraded) {
-        ++totals_.degraded_epochs;
-      }
-      if (!epoch.checkpoint_committed) continue;
-      if (async_deep_scan_step(epoch_start)) break;
-    } else {
+    if (!epoch.audit_passed) {
       // Zero-window guarantee: nothing from the poisoned epoch escapes.
       buffer_.drop_all();
       disk_.drop_pending();
@@ -434,6 +380,29 @@ const RunSummary& Crimes::run(Nanos max_work_time) {
       respond(epoch_start);
       break;
     }
+    // The audited disk overlay commits with the checkpoint -- before
+    // commit_epoch(), whose async deep scan may restore disk_checkpoint_.
+    // A CoW epoch commits it now, at protect time: the overlay cannot
+    // split its pending writes at the barrier the way the stash splits the
+    // packets, so a later drain failure keeps the packets held but accepts
+    // this epoch's disk writes -- the documented tradeoff.
+    if (epoch.cow_pending || epoch.checkpoint_committed) {
+      disk_.commit_pending();
+      disk_checkpoint_ = disk_.snapshot_committed();
+    }
+    if (epoch.cow_pending) {
+      // Resume-first checkpoint: the copy is still draining and commits at
+      // the next barrier. Stash the epoch's outputs *now* -- the buffer
+      // holds exactly this (audited) epoch's packets; by barrier time the
+      // next epoch's would have mixed in.
+      cow_stash_.active = true;
+      cow_stash_.epoch = epoch;
+      cow_stash_.held = buffer_.take_all();
+      cow_stash_.resume_at = clock_.now();
+      cow_stash_.epoch_start = epoch_start;
+      continue;
+    }
+    if (!commit_epoch(epoch, epoch_start)) break;
   }
   if (cow_stash_.active && !primary_killed_) {
     // The run ended with a drain still in flight (workload finished or the
@@ -473,9 +442,7 @@ bool Crimes::apply_governor_action(fault::SafetyGovernor::Action action) {
         // but fencing still rules: an invalid lease discards, never ships.
         if (lease_.valid(clock_.now())) {
           for (auto& entry : pending_release_) {
-            for (auto& packet : entry.packets) {
-              network_.deliver(std::move(packet), clock_.now());
-            }
+            buffer_.release(entry.packets, network_, clock_.now());
           }
           pending_release_.clear();
         } else {
@@ -550,12 +517,45 @@ bool Crimes::apply_governor_action(fault::SafetyGovernor::Action action) {
   return false;
 }
 
-bool Crimes::finish_cow_commit() {
+bool Crimes::commit_epoch(const EpochResult& epoch, Nanos epoch_start) {
   telemetry::TraceRecorder* trace =
       telemetry_ ? &telemetry_->trace : nullptr;
+  if (epoch.checkpoint_committed) {
+    ++totals_.checkpoints;
+    // Commit the speculative epoch: outputs may now leave the host --
+    // immediately when unreplicated; once the standby acknowledges (and
+    // the fencing lease still holds) when replication is on.
+    CRIMES_TRACE_SPAN(trace, "commit");
+    if (replicator_) {
+      replicate_commit(epoch);
+    } else {
+      CRIMES_TRACE_SPAN(trace, "buffer_release");
+      buffer_.release_all(network_, clock_.now());
+    }
+  } else {
+    // The copy/verify loop exhausted its retries: the backup was restored
+    // to the previous clean checkpoint, the dirty set was retained (the
+    // next epoch's checkpoint carries these pages), and -- in Synchronous
+    // mode -- the audited outputs stay held until a checkpoint actually
+    // covers them. Best Effort already shipped.
+    ++totals_.checkpoint_failures;
+    dump_postmortem("checkpoint-retries-exhausted");
+  }
+  if (governor_ && apply_governor_action(
+                       governor_->on_epoch(epoch.checkpoint_committed))) {
+    return false;
+  }
+  if (governor_ && governor_->state() == fault::GovernorState::Degraded) {
+    ++totals_.degraded_epochs;
+  }
+  return !(epoch.checkpoint_committed && async_deep_scan_step(epoch_start));
+}
+
+bool Crimes::finish_cow_commit() {
   const CowCommit commit =
       checkpointer_->complete_cow_drain(cow_stash_.resume_at);
   EpochResult epoch = std::move(cow_stash_.epoch);
+  epoch.checkpoint_committed = commit.committed;
   std::vector<Packet> held = std::move(cow_stash_.held);
   const Nanos epoch_start = cow_stash_.epoch_start;
   cow_stash_ = {};
@@ -568,42 +568,16 @@ bool Crimes::finish_cow_commit() {
   totals_.recovery_time += commit.recovery_cost;
   totals_.store_time += commit.store_cost;
 
-  // The buffer currently holds the *still unaudited* packets of the epoch
-  // that overlapped the drain. Set them aside: commit releases (and a
-  // governor downgrade would release) audited outputs only.
+  // The buffer holds the *still unaudited* packets of the epoch that
+  // overlapped the drain. Set them aside around the commit, which releases
+  // (and a governor downgrade would release) audited outputs only. A
+  // failed drain leaves the stashed epoch's packets held, ahead of the
+  // overlapping epoch's, until a later checkpoint covers them.
   std::vector<Packet> unaudited = buffer_.take_all();
-
-  if (commit.committed) {
-    ++totals_.checkpoints;
-    CRIMES_TRACE_SPAN(trace, "commit");
-    if (replicator_) {
-      replicate_commit(epoch, std::move(held));
-    } else {
-      CRIMES_TRACE_SPAN(trace, "buffer_release");
-      for (auto& packet : held) {
-        network_.deliver(std::move(packet), clock_.now());
-      }
-    }
-    // Disk state was committed at protect time (see the stash site).
-  } else {
-    // The drain exhausted its retries: the backup was restored untorn and
-    // the dirty set re-marked. The epoch's outputs stay held -- into the
-    // (momentarily empty) buffer first, so they precede the overlapping
-    // epoch's packets when a later checkpoint finally covers them.
-    ++totals_.checkpoint_failures;
-    for (auto& packet : held) buffer_.hold(std::move(packet));
-    dump_postmortem("checkpoint-retries-exhausted");
-  }
-
-  const bool frozen =
-      governor_ && apply_governor_action(governor_->on_epoch(commit.committed));
-  if (governor_ && governor_->state() == fault::GovernorState::Degraded) {
-    ++totals_.degraded_epochs;
-  }
+  for (auto& packet : held) buffer_.hold(std::move(packet));
+  const bool go_on = commit_epoch(epoch, epoch_start);
   for (auto& packet : unaudited) buffer_.hold(std::move(packet));
-  if (frozen) return false;
-  // The async deep scan rides committed epochs, like the stop-copy path.
-  return !(commit.committed && async_deep_scan_step(epoch_start));
+  return go_on;
 }
 
 bool Crimes::async_deep_scan_step(Nanos epoch_start) {
@@ -628,8 +602,7 @@ bool Crimes::async_deep_scan_step(Nanos epoch_start) {
   return false;
 }
 
-void Crimes::replicate_commit(const EpochResult& epoch,
-                              std::vector<Packet> held) {
+void Crimes::replicate_commit(const EpochResult& epoch) {
   telemetry::TraceRecorder* trace =
       telemetry_ ? &telemetry_->trace : nullptr;
   const std::uint64_t tampers_before = replicator_->tampers_detected();
@@ -679,7 +652,7 @@ void Crimes::replicate_commit(const EpochResult& epoch,
     clock_.advance(costs_->lease_renew_rtt);
   }
   pending_release_.push_back(PendingRelease{
-      checkpointer_->checkpoints_taken(), std::move(held)});
+      checkpointer_->checkpoints_taken(), buffer_.take_all()});
   release_acked_outputs();
 }
 
@@ -696,9 +669,7 @@ void Crimes::release_acked_outputs() {
     // lease's clock, never the (possibly unreachable) authority.
     if (lease_.valid(clock_.now())) {
       CRIMES_TRACE_SPAN(trace, "buffer_release");
-      for (auto& packet : entry.packets) {
-        network_.deliver(std::move(packet), clock_.now());
-      }
+      buffer_.release(entry.packets, network_, clock_.now());
     } else {
       ++totals_.fenced_epochs;
       totals_.outputs_discarded += entry.packets.size();
@@ -713,87 +684,50 @@ void Crimes::discard_pending_outputs() {
   pending_release_.clear();
 }
 
-void Crimes::fail_over(Nanos failed_at) {
+void Crimes::promote_standby(Nanos onset, bool primary_dead) {
   telemetry::TraceRecorder* trace =
       telemetry_ ? &telemetry_->trace : nullptr;
-  if (cow_stash_.active) {
-    // The in-flight drain died with the primary; its epoch never
-    // committed, so its held outputs are discarded like any other
-    // un-replicated epoch's.
-    totals_.outputs_discarded += cow_stash_.held.size();
-    cow_stash_ = {};
+  const Nanos start = clock_.now();
+  if (primary_dead) {
+    if (cow_stash_.active) {
+      // The in-flight drain died with the primary; its epoch never
+      // committed, so its held outputs are discarded like any other
+      // un-replicated epoch's.
+      totals_.outputs_discarded += cow_stash_.held.size();
+      cow_stash_ = {};
+    }
+    // The detector needs a heartbeat-free gap before it suspects, and
+    // every lease ever granted must expire; virtual time fast-forwards
+    // through both (nothing else can run -- the primary is dead). A live
+    // primary's promotion is only attempted once both have passed.
+    const Nanos ready = standby_->promotion_ready_at(onset);
+    if (ready > clock_.now()) clock_.advance(ready - clock_.now());
   }
-  // The detector needs a heartbeat-free gap before it suspects, and every
-  // lease ever granted must expire; virtual time fast-forwards through
-  // both (nothing else can run -- the primary is dead).
-  const Nanos ready = standby_->promotion_ready_at(failed_at);
-  if (ready > clock_.now()) clock_.advance(ready - clock_.now());
   const replication::StandbyHost::PromotionReport report =
       standby_->promote(*replicator_, clock_.now());
-  clock_.advance(report.cost);
-  if (trace != nullptr) {
-    trace->add_span("failover", failed_at, clock_.now() - failed_at);
+  if (!report.refused && !primary_dead) {
+    // The promoted standby closes the replication channel: the live
+    // primary's future commits must never reach the now-running image.
+    replicator_->partition(clock_.now());
   }
+  clock_.advance(report.cost);
+  // A refused promotion behind a live primary changes nothing on the
+  // primary's timeline, so it leaves no failover span.
+  if (trace != nullptr && (primary_dead || !report.refused)) {
+    trace->add_span("failover", start, clock_.now() - start);
+  }
+  // A dead primary's outputs die with it: held, never released, now
+  // discarded. A live primary the standby replaced is permanently fenced
+  // -- its lease expired (the authority waited it out) and renewal is
+  // refused -- so what it queued for release can only be discarded too.
+  if (primary_dead || !report.refused) discard_pending_outputs();
+  if (primary_dead) buffer_.drop_all();
   if (report.refused) {
     // The chain did not verify to the trusted root: the standby holds
     // state that is not provably the primary's history, and resuming it
-    // would launder the tamper. The VM stays a paused crime scene.
-    promotion_refused_ = true;
-    ++totals_.promotions_refused;
-    discard_pending_outputs();
-    buffer_.drop_all();
-    if (flight_) {
-      flight_->record(clock_.now(), epoch_index_,
-                      telemetry::FlightEventKind::Tamper, "promotion_refused",
-                      "chain does not verify to trusted root",
-                      static_cast<double>(report.promoted_generation));
-    }
-    CRIMES_LOG(Error, "crimes")
-        << "failover ABORTED at " << to_ms(clock_.now())
-        << " ms: standby refused promotion (attestation chain broken at "
-        << "generation " << report.promoted_generation << ")";
-    dump_postmortem("attestation-verify");
-    return;
-  }
-  failed_over_ = true;
-  totals_.failed_over = true;
-  totals_.failover_time = clock_.now() - failed_at;
-  totals_.promoted_generation = report.promoted_generation;
-  totals_.generations_rolled_back += report.generations_rolled_back;
-  // Un-replicated epochs' outputs die with the primary: held, never
-  // released, now discarded.
-  discard_pending_outputs();
-  buffer_.drop_all();
-  if (telemetry_) {
-    telemetry_->metrics.histogram("failover.time")
-        .record(static_cast<std::uint64_t>(totals_.failover_time.count()));
-  }
-  if (flight_) {
-    flight_->record(clock_.now(), epoch_index_,
-                    telemetry::FlightEventKind::Failover, "promote",
-                    "primary killed; standby promoted",
-                    static_cast<double>(report.promoted_generation));
-  }
-  CRIMES_LOG(Warn, "crimes")
-      << "primary killed at " << to_ms(failed_at) << " ms; standby running "
-      << "from generation " << report.promoted_generation << " after "
-      << to_ms(totals_.failover_time) << " ms";
-  dump_postmortem("failover");
-}
-
-void Crimes::split_brain_promote() {
-  telemetry::TraceRecorder* trace =
-      telemetry_ ? &telemetry_->trace : nullptr;
-  const Nanos onset = standby_->detector().last_arrival();
-  const Nanos start = clock_.now();
-  const replication::StandbyHost::PromotionReport report =
-      standby_->promote(*replicator_, clock_.now());
-  if (report.refused) {
-    // Same veto as the kill path, but here the (fenced) primary is still
-    // running -- it keeps going; only the standby's promotion is off the
-    // table. The veto is final: re-promoting the same unverifiable
-    // stream every epoch would change nothing.
-    clock_.advance(report.cost);
+    // would launder the tamper. A dead primary stays a paused crime
+    // scene; a live one keeps running. The veto is final: re-promoting
+    // the same unverifiable stream every epoch would change nothing.
     promotion_refused_ = true;
     ++totals_.promotions_refused;
     if (flight_) {
@@ -803,28 +737,18 @@ void Crimes::split_brain_promote() {
                       static_cast<double>(report.promoted_generation));
     }
     CRIMES_LOG(Error, "crimes")
-        << "split-brain promotion REFUSED at " << to_ms(clock_.now())
+        << (primary_dead ? "failover" : "split-brain promotion")
+        << " REFUSED at " << to_ms(clock_.now())
         << " ms: attestation chain broken at generation "
         << report.promoted_generation;
     dump_postmortem("attestation-verify");
     return;
-  }
-  // The promoted standby closes the replication channel: this primary's
-  // future commits must never reach the now-running image.
-  replicator_->partition(clock_.now());
-  clock_.advance(report.cost);
-  if (trace != nullptr) {
-    trace->add_span("failover", start, clock_.now() - start);
   }
   failed_over_ = true;
   totals_.failed_over = true;
   totals_.failover_time = clock_.now() - onset;
   totals_.promoted_generation = report.promoted_generation;
   totals_.generations_rolled_back += report.generations_rolled_back;
-  // This primary is now permanently fenced: its lease has expired (the
-  // authority waited it out before promoting) and renewal is refused, so
-  // everything it holds -- and will hold -- can only be discarded.
-  discard_pending_outputs();
   if (telemetry_) {
     telemetry_->metrics.histogram("failover.time")
         .record(static_cast<std::uint64_t>(totals_.failover_time.count()));
@@ -832,13 +756,16 @@ void Crimes::split_brain_promote() {
   if (flight_) {
     flight_->record(clock_.now(), epoch_index_,
                     telemetry::FlightEventKind::Failover,
-                    "split_brain_promote", "primary fenced",
+                    primary_dead ? "promote" : "split_brain_promote",
+                    primary_dead ? "primary killed; standby promoted"
+                                 : "primary fenced",
                     static_cast<double>(report.promoted_generation));
   }
   CRIMES_LOG(Warn, "crimes")
-      << "standby promoted behind a live primary (split brain) at "
-      << to_ms(clock_.now()) << " ms; primary fenced at generation "
-      << report.promoted_generation;
+      << (primary_dead ? "primary killed" : "split brain: primary fenced")
+      << "; standby running from generation " << report.promoted_generation
+      << " at " << to_ms(clock_.now()) << " ms, "
+      << to_ms(totals_.failover_time) << " ms after the onset";
   dump_postmortem("failover");
 }
 

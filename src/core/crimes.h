@@ -424,30 +424,41 @@ class Crimes {
   [[nodiscard]] bool apply_governor_action(
       fault::SafetyGovernor::Action action);
   void respond(Nanos epoch_start);
-  // Commit barrier for the speculative CoW drain stashed by the previous
-  // epoch: completes the drain (overlapped with the epoch that just ran),
-  // releases or re-holds the stashed outputs, and feeds the governor.
+  // The one commit path, for stop-copy epochs and CoW barriers alike:
+  // commits (or, when its copy exhausted its retries, fails) an audited
+  // epoch whose outputs the buffer holds. Counts the checkpoint or the
+  // failure, releases or replicates the outputs (a failure keeps them
+  // held), feeds the governor, counts degraded epochs and runs the async
+  // deep-scan step. The caller has already committed the disk overlay.
   // Returns false when the run must stop (governor freeze, or an attack
   // surfaced by the async deep scan).
+  [[nodiscard]] bool commit_epoch(const EpochResult& epoch,
+                                  Nanos epoch_start);
+  // Commit barrier for the speculative CoW drain stashed by the previous
+  // epoch: completes the drain (overlapped with the epoch that just ran),
+  // adds the CoW totals and hands the stashed epoch to commit_epoch(),
+  // with the overlapping epoch's unaudited packets set aside meanwhile.
+  // Returns commit_epoch()'s verdict.
   [[nodiscard]] bool finish_cow_commit();
   // Async deep-scan extension, after every committed epoch: consumes a
   // finished scan and launches the next one when the cumulative epoch
   // count is due. Returns true when the scan's evidence triggered the
   // attack response.
   [[nodiscard]] bool async_deep_scan_step(Nanos epoch_start);
-  // Replication helpers (all no-ops unless the replicator exists). `held`
-  // is the committed epoch's output set (captured at protect time on the
-  // CoW path, so the draining epoch's packets never mix with the next
-  // epoch's).
-  void replicate_commit(const EpochResult& epoch, std::vector<Packet> held);
+  // Replication helpers (only called when the replicator exists).
+  // replicate_commit ships the committed epoch and moves the buffer's
+  // outputs to the pending-release queue; release_acked_outputs releases
+  // the acked, lease-covered ones through the buffer.
+  void replicate_commit(const EpochResult& epoch);
   void release_acked_outputs();
   void discard_pending_outputs();
-  // Kill-path failover: the primary host died at clock_.now(); waits out
-  // suspicion + lease expiry, promotes the standby, records telemetry.
-  void fail_over(Nanos failed_at);
-  // Split-brain-path promotion: the standby, unheard-from, promotes while
-  // the (fenced) primary keeps running.
-  void split_brain_promote();
+  // Promotes the standby after the primary went silent at `onset`. When
+  // the primary is dead (a kill, at clock_.now()) this waits out suspicion
+  // and lease expiry, discards the in-flight CoW drain and drops the
+  // buffer; behind a live primary (split brain) a successful promotion
+  // partitions the link and fences the primary, which keeps running. A
+  // chain that fails to verify refuses the promotion for good.
+  void promote_standby(Nanos onset, bool primary_dead);
   // Observability helpers. observe_epoch feeds the flight recorder, the
   // time-series engine and the SLO monitor at the epoch boundary and
   // charges the (tiny) virtual cost of that work into the pause

@@ -15,13 +15,16 @@ void ExternalNetwork::deliver(Packet packet, Nanos released_at) {
 }
 
 void OutputBuffer::release_all(ExternalNetwork& net, Nanos released_at) {
-  if (released_counter_ != nullptr) released_counter_->add(pending_.size());
-  for (auto& p : pending_) {
-    net.deliver(std::move(p), released_at);
-    ++total_released_;
-  }
-  pending_.clear();
+  release(pending_, net, released_at);
   if (pending_gauge_ != nullptr) pending_gauge_->set(0.0);
+}
+
+void OutputBuffer::release(std::vector<Packet>& packets, ExternalNetwork& net,
+                           Nanos released_at) {
+  if (released_counter_ != nullptr) released_counter_->add(packets.size());
+  total_released_ += packets.size();
+  for (auto& p : packets) net.deliver(std::move(p), released_at);
+  packets.clear();
 }
 
 void OutputBuffer::drop_all() {

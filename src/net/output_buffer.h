@@ -54,13 +54,21 @@ class OutputBuffer {
   // Commits the epoch: every held packet escapes at `released_at`.
   void release_all(ExternalNetwork& net, Nanos released_at);
 
+  // Releases `packets` -- outputs this buffer held and handed out through
+  // take_all() -- at `released_at`, leaving `packets` empty. Every held
+  // packet that leaves the host goes through here or release_all(), so
+  // the release counters see them all.
+  void release(std::vector<Packet>& packets, ExternalNetwork& net,
+               Nanos released_at);
+
   // Audit failed: the epoch's outputs never existed.
   void drop_all();
 
   // Replication extension (DESIGN.md section 11): the audit passed but the
   // outputs must additionally wait for the standby's acknowledgement.
   // Empties the buffer into the caller's pending-release queue; the caller
-  // releases (or discards) them later, against its own counters.
+  // later hands them to release(), or discards them against its own
+  // counters.
   [[nodiscard]] std::vector<Packet> take_all() {
     std::vector<Packet> taken = std::move(pending_);
     pending_.clear();

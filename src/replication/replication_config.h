@@ -39,15 +39,10 @@ struct ReplicationConfig {
   // ack arrives (backpressure, charged to the virtual clock).
   std::size_t window = 4;
   // Stream XOR-delta + RLE pages (CompressedSocketTransport) instead of
-  // the plain ciphered stream (SocketTransport).
+  // the plain ciphered stream (SocketTransport). Either way the stream is
+  // framed one record at a time and priced at the scatter-gather link's
+  // rates (CostModel::copy_*_gather_per_page).
   bool compress = false;
-  // Scatter-gather zero-copy framing on the replication stream: per-page
-  // records are ciphered in place against a reusable scratch frame instead
-  // of staged through the contiguous stream buffer, dropping the per-page
-  // serialization cost. On by default -- it changes neither bytes nor
-  // record order, only the staging -- but switchable off to measure the
-  // staged baseline.
-  bool zero_copy = true;
   HeartbeatConfig heartbeat;
   // Fencing lease term. Must exceed the heartbeat interval (renewal
   // piggybacks on the epoch loop) and bounds how long a partitioned

@@ -24,11 +24,12 @@ Replicator::Replicator(const CostModel& costs, ReplicationConfig config,
     throw std::invalid_argument("ReplicationConfig: window must be >= 1");
   }
   if (config_.compress) {
-    transport_ = std::make_unique<CompressedSocketTransport>(costs);
+    transport_ = std::make_unique<CompressedSocketTransport>(
+        costs.copy_compress_gather_per_page, costs.copy_wire_per_byte);
   } else {
-    transport_ = std::make_unique<SocketTransport>(costs);
+    transport_ = std::make_unique<SocketTransport>(
+        costs.copy_socket_gather_per_page);
   }
-  transport_->set_zero_copy(config_.zero_copy);
 }
 
 void Replicator::set_telemetry(telemetry::Telemetry* telemetry) {

@@ -5,12 +5,13 @@
 // The stream is asynchronous with a bounded in-flight window, like Remus'
 // checkpoint drain: at commit time the generation's dirty pages really move
 // (bytes are copied into the standby image through a SocketTransport or
-// CompressedSocketTransport immediately), but on the virtual timeline the
-// transfer occupies the link for its modeled duration, arrives one wire
-// hop later, and is acknowledged one hop after that. The primary charges
-// itself only the per-generation framing cost -- unless the window is
-// full, in which case it stalls until the oldest in-flight generation acks
-// (backpressure, charged to the virtual clock).
+// CompressedSocketTransport immediately, one record at a time, priced at
+// the link's CostModel::copy_*_gather_per_page rates), but on the virtual
+// timeline the transfer occupies the link for its modeled duration,
+// arrives one wire hop later, and is acknowledged one hop after that. The
+// primary charges itself only the per-generation framing cost -- unless
+// the window is full, in which case it stalls until the oldest in-flight
+// generation acks (backpressure, charged to the virtual clock).
 //
 // Because bytes are applied eagerly but *arrive* later on the virtual
 // timeline, every in-flight generation carries an undo log (the standby's

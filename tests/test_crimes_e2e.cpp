@@ -11,8 +11,13 @@
 #include "workload/malware.h"
 #include "workload/overflow.h"
 #include "workload/parsec.h"
+#include "workload/web_server.h"
+#include "workload/wrk_client.h"
 
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <string>
 
 namespace crimes {
 namespace {
@@ -284,6 +289,59 @@ TEST(CrimesE2E, DisabledModeIsPureBaseline) {
   EXPECT_EQ(summary.total_pause, Nanos::zero());
   EXPECT_DOUBLE_EQ(summary.normalized_runtime(), 1.0);
 }
+
+// Every held packet that leaves the host is counted by the OutputBuffer:
+// on stop-copy and CoW commits, released at once or after the standby's
+// ack alike.
+struct ReleaseLeg {
+  const char* name;
+  bool cow;
+  bool replicated;
+};
+
+void PrintTo(const ReleaseLeg& leg, std::ostream* os) { *os << leg.name; }
+
+class ReleaseCounters : public ::testing::TestWithParam<ReleaseLeg> {};
+
+TEST_P(ReleaseCounters, CountEveryPacketThatLeavesTheHost) {
+  const ReleaseLeg leg = GetParam();
+  GuestConfig guest_config;
+  guest_config.page_count = 16384;
+  TestGuest guest(guest_config);
+  CrimesConfig config;
+  config.checkpoint = leg.cow ? CheckpointConfig::cow(millis(20))
+                              : CheckpointConfig::full(millis(20));
+  config.mode = SafetyMode::Synchronous;
+  config.record_execution = false;
+  config.telemetry = true;
+  config.replication.enabled = leg.replicated;
+  Crimes crimes(guest.hypervisor, *guest.kernel, config);
+  WebServerWorkload server(*guest.kernel, crimes.nic(),
+                           WebServerProfile::medium());
+  WrkClient client(server, crimes.network(), 16, 8);
+  crimes.set_workload(&server);
+  crimes.initialize();
+  client.start(crimes.clock().now());
+  (void)crimes.run(millis(1000));
+
+  const std::uint64_t delivered = crimes.network().delivered_count();
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(crimes.buffer().total_released(), delivered);
+  ASSERT_NE(crimes.telemetry(), nullptr);
+  EXPECT_EQ(
+      crimes.telemetry()->metrics.counter("net.packets_released").value(),
+      delivered);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Commits, ReleaseCounters,
+    ::testing::Values(ReleaseLeg{"StopCopy", false, false},
+                      ReleaseLeg{"Cow", true, false},
+                      ReleaseLeg{"StopCopyReplicated", false, true},
+                      ReleaseLeg{"CowReplicated", true, true}),
+    [](const ::testing::TestParamInfo<ReleaseLeg>& leg) {
+      return std::string(leg.param.name);
+    });
 
 }  // namespace
 }  // namespace crimes

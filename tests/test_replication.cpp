@@ -311,9 +311,9 @@ TEST(Replicator, WindowBackpressureStallsUntilTheOldestAck) {
   expect_images_equal(*twins.src, *twins.dst, "after first commit");
   EXPECT_EQ(twins.dst->vcpu(), vcpu);
 
-  // Generation 2's ack instant, from the cost model: zero-copy gather
-  // transfer (the replication stream's default framing), one wire hop,
-  // per-page apply, one hop back.
+  // Generation 2's ack instant, from the cost model: the transfer at the
+  // replication link's gather price, one wire hop, per-page apply, one hop
+  // back.
   const Nanos transfer = costs.copy_socket_gather_per_page * dirty.size();
   const Nanos ack1 = transfer + costs.replication_one_way * 2 +
                      costs.replication_apply_per_page * dirty.size();
@@ -845,6 +845,67 @@ TEST(ReplicationPipeline, GovernorFreezeQuiescesTheReplicator) {
   EXPECT_EQ(run.crimes.replicator()->in_flight(), 0u);
   EXPECT_FALSE(run.crimes.standby()->promoted());
 }
+
+// A replication stream tampered in flight must never be promoted, on
+// either leg: the standby refuses to resume state that does not verify to
+// its trusted root, whether the primary died (kill) or merely went silent
+// behind a partition (split brain), and the veto is final.
+class RefusedPromotion : public ::testing::TestWithParam<fault::FaultKind> {
+};
+
+TEST_P(RefusedPromotion, TamperedChainIsNeverPromoted) {
+  const bool killed = GetParam() == fault::FaultKind::PrimaryKill;
+  fault::FaultPlan plan;
+  plan.replication_tamper = 1.0;
+  plan.from_epoch = 1;
+  plan.until_epoch = 3;
+  plan.scheduled.push_back({.epoch = 4, .kind = GetParam(), .module = ""});
+  CrimesConfig config = replicated_config(std::move(plan));
+  config.checkpoint.store.enabled = true;
+  config.checkpoint.store.crypto.seal = true;
+  config.checkpoint.store.crypto.attest = true;
+  // Room for the refusal's dump after the per-generation verify failures'.
+  config.postmortem_limit = 64;
+  PipelineRun run(std::move(config), /*duration_ms=*/5000.0);
+  for (int slice = 0; slice < 20; ++slice) (void)run.crimes.run(millis(50));
+
+  const RunSummary& totals = run.crimes.totals();
+  EXPECT_EQ(totals.primary_killed, killed);
+  EXPECT_EQ(totals.epochs, killed ? 4u : 20u);
+  EXPECT_FALSE(totals.failed_over);
+  EXPECT_FALSE(run.crimes.failed_over());
+  EXPECT_EQ(totals.promotions_refused, 1u);  // not retried every epoch
+  EXPECT_GT(totals.tampers_detected, 0u);
+  EXPECT_FALSE(run.crimes.standby()->promoted());
+  EXPECT_EQ(run.crimes.standby()->vm().state(), VmState::Paused);
+  // A dead primary stays a paused crime scene; a live one keeps running.
+  EXPECT_EQ(run.guest.vm->state(),
+            killed ? VmState::Paused : VmState::Running);
+
+  // The refusal is flight-recorder evidence, frozen into an
+  // attestation-verify postmortem.
+  std::size_t refusals = 0;
+  for (const telemetry::FlightEvent& event :
+       run.crimes.flight_recorder()->snapshot()) {
+    if (std::string(event.what) == "promotion_refused") ++refusals;
+  }
+  EXPECT_EQ(refusals, 1u);
+  const auto& dumps = run.crimes.postmortems();
+  EXPECT_TRUE(std::any_of(dumps.begin(), dumps.end(), [](const auto& dump) {
+    return dump.reason == "attestation-verify" &&
+           dump.json.find("promotion_refused") != std::string::npos;
+  }));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothLegs, RefusedPromotion,
+    ::testing::Values(fault::FaultKind::PrimaryKill,
+                      fault::FaultKind::LinkPartition),
+    [](const ::testing::TestParamInfo<fault::FaultKind>& leg) {
+      return std::string(leg.param == fault::FaultKind::PrimaryKill
+                             ? "Kill"
+                             : "SplitBrain");
+    });
 
 // ---------------------------------------------------------------------------
 // Cloud host: per-tenant failover isolation

@@ -313,9 +313,18 @@ TEST(CompressedTransport, IncompressibleDataCostsAboutTheSame) {
     guest.kernel->write_virt(heap + page * kPageSize, junk);
   }
   const EpochResult result = cp.run_checkpoint({});
-  const Nanos plain_cost =
-      CostModel::defaults().copy_socket_per_page * result.dirty.size();
-  // Within ~2x of the plain socket cost (RLE adds a little framing).
+  const CostModel& costs = CostModel::defaults();
+  const auto& compressed =
+      dynamic_cast<const CompressedSocketTransport&>(cp.transport());
+  // Exactly the checkpointer's compressed price: CPU per page plus every
+  // wire byte sent...
+  ASSERT_GT(result.dirty.size(), 0u);
+  EXPECT_EQ(result.costs.copy,
+            costs.copy_compress_per_page * result.dirty.size() +
+                costs.copy_wire_per_byte * compressed.wire_bytes());
+  // ...which for zero-free deltas lands within ~2x of the plain socket
+  // cost (RLE adds a little framing).
+  const Nanos plain_cost = costs.copy_socket_per_page * result.dirty.size();
   EXPECT_LT(result.costs.copy, plain_cost * 2);
   EXPECT_GT(result.costs.copy, plain_cost / 2);
 }
@@ -333,8 +342,9 @@ TEST(CompressedTransport, RejectedWithMemcpyOptimization) {
 TEST(Transports, NamesAreDistinct) {
   const CostModel& costs = CostModel::defaults();
   MemcpyTransport a(costs);
-  SocketTransport b(costs);
-  CompressedSocketTransport c(costs);
+  SocketTransport b(costs.copy_socket_per_page);
+  CompressedSocketTransport c(costs.copy_compress_per_page,
+                              costs.copy_wire_per_byte);
   EXPECT_STRNE(a.name(), b.name());
   EXPECT_STRNE(b.name(), c.name());
 }
